@@ -13,19 +13,19 @@
 //!
 //! Rendered tables go to stdout; machine-readable JSON goes to `--out`
 //! (default `results/`), published atomically (write-temp-then-rename) so
-//! an interrupt can never leave a truncated report. The stability grids
-//! are **resumable**: every completed replica and every in-flight epoch
-//! checkpoint is persisted under `<out>/.ckpt/` (scoped by a settings
-//! fingerprint), so an interrupted run picks up mid-fleet and
-//! mid-training — bit-identically — on the next invocation. Delete
-//! `<out>/.ckpt/` to force recomputation.
+//! an interrupt can never leave a truncated report.
 //!
-//! `--fleet <procs>` runs the stability grids with **process-isolated**
-//! replicas (`procs` concurrent workers; 0 = host parallelism): this
-//! binary re-executes itself in a hidden `--worker` mode, one process per
-//! replica attempt, under a heartbeat watchdog that kills and
-//! re-dispatches hung or crashed workers. Results are bit-identical to
-//! in-process runs and share the same checkpoint store.
+//! The stability grids run through one [`Executor`], built once from the
+//! flags. By default it is `Executor::Durable`: every completed replica
+//! and every in-flight epoch checkpoint is persisted under
+//! `<out>/.ckpt/` (scoped by a settings fingerprint), so an interrupted
+//! run picks up mid-fleet and mid-training, bit-identically, on the next
+//! invocation. Delete `<out>/.ckpt/` to force recomputation.
+//! `--fleet <procs>` selects `Executor::Processes` over the same store:
+//! `procs` concurrent workers (0 = host parallelism), each a re-execution
+//! of this binary in a hidden `--worker` mode running one replica attempt
+//! under a heartbeat watchdog that kills and re-dispatches hung or
+//! crashed workers. Results are bit-identical either way.
 
 use noisescope::experiments::{cost, extensions, fairness, ordering, stability};
 use noisescope::paper;
@@ -105,17 +105,28 @@ fn main() {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
     }
-    // Durable fleet progress: interrupted grids resume from here.
-    let store = CheckpointStore::for_settings(out_dir.join(".ckpt"), &settings);
-    let ckpt_every = 1;
     println!(
         "# NoiseScope reproduction — replicas={} amp_ulps={} epochs_scale={} seed={}\n",
         settings.replicas, settings.amp_ulps, settings.epochs_scale, settings.base_seed
     );
+    // Durable fleet progress: interrupted grids resume from here.
+    let store = CheckpointStore::for_settings(out_dir.join(".ckpt"), &settings);
     eprintln!("checkpoint store: {}", store.root().display());
-    if fleet.is_some() {
-        eprintln!("fleet mode: stability grids run with process-isolated replicas");
-    }
+    let checkpoint_every_epochs = 1;
+    let exec = match fleet {
+        Some(fleet) => {
+            eprintln!("fleet mode: stability grids run with process-isolated replicas");
+            Executor::Processes {
+                store,
+                checkpoint_every_epochs,
+                fleet,
+            }
+        }
+        None => Executor::Durable {
+            store,
+            checkpoint_every_epochs,
+        },
+    };
     let save = |name: &str, json: &serde_json::Value| {
         let path = out_dir.join(format!("{name}.json"));
         noisescope::report::save_json(&path, json).expect("write result file");
@@ -180,11 +191,7 @@ fn main() {
     }
     if exps.contains("fig2") {
         let started = Instant::now();
-        let grid = match &fleet {
-            Some(opts) => stability::fig2_fleet(&settings, &store, ckpt_every, opts),
-            None => stability::fig2_resumable(&settings, &store, ckpt_every),
-        }
-        .expect("checkpoint store IO");
+        let grid = stability::fig2(&settings, &exec).expect("checkpoint store IO");
         println!(
             "{}",
             stability::render_fig_panel(&grid, "V100", "Figure 2 (batch-norm ablation)")
@@ -210,11 +217,7 @@ fn main() {
     }
     if exps.contains("fig5") {
         let started = Instant::now();
-        let grid = match &fleet {
-            Some(opts) => stability::fig5_fleet(&settings, &store, ckpt_every, opts),
-            None => stability::fig5_resumable(&settings, &store, ckpt_every),
-        }
-        .expect("checkpoint store IO");
+        let grid = stability::fig5(&settings, &exec).expect("checkpoint store IO");
         let mut rows = Vec::new();
         for r in &grid.reports {
             rows.push(vec![
@@ -260,11 +263,7 @@ fn main() {
         .any(|e| exps.contains(*e));
     if needs_grid {
         let started = Instant::now();
-        let grid = match &fleet {
-            Some(opts) => stability::run_table2_grid_fleet(&settings, &store, ckpt_every, opts),
-            None => stability::run_table2_grid_resumable(&settings, &store, ckpt_every),
-        }
-        .expect("checkpoint store IO");
+        let grid = stability::run_table2_grid(&settings, &exec).expect("checkpoint store IO");
         eprintln!(
             "stability grid done in {:.1}s",
             started.elapsed().as_secs_f32()

@@ -13,23 +13,23 @@
 //!   `--worker` mode ([`worker_main`]). Each worker runs exactly one
 //!   `(replica, attempt)`, reads its [`ReplicaSpec`] from stdin and
 //!   writes [`Heartbeat`] / result / [`WorkerFault`] frames to stdout.
-//! - **The supervisor** ([`run_variant_fleet`]) dispatches pending
-//!   replicas to a bounded pool of worker processes, watches each with a
-//!   heartbeat watchdog plus an absolute wall-clock deadline, kills
-//!   stalled or crashed workers, classifies how they died (clean exit /
-//!   panic exit code / signal / timeout), and re-dispatches under the
-//!   same bounded retry budget as the in-process supervisor, with a
-//!   deterministic capped-exponential backoff between attempts.
+//! - **The supervisor** is the one replica engine,
+//!   [`crate::runner::run_cell`] on [`Executor::Processes`]: its pool
+//!   and retry loop are shared with the in-process executors, and only
+//!   the attempt differs. `run_attempt` spawns a worker, watches it
+//!   with a heartbeat watchdog plus an absolute wall-clock deadline,
+//!   kills a stalled worker, and classifies how it ended (clean exit /
+//!   graceful fault / panic exit code / signal / timeout). Retries back
+//!   off deterministically (`backoff_ms`).
 //! - **Durability** reuses [`crate::resume::CheckpointStore`] cells
 //!   verbatim: workers sink epoch checkpoints to the cell directory, so
 //!   a killed worker's retry resumes from the last durable checkpoint
-//!   instead of retraining from scratch; completed results/statuses are
-//!   written by the supervisor (single writer) in the exact format
-//!   `run_variant_resumable` reads.
+//!   instead of retraining from scratch; the supervisor is the single
+//!   writer of result and status files.
 //!
 //! **Bit-identity.** A replica is a pure function of `(task, device,
 //! variant, settings, replica)`; the IPC layer ships results with the
-//! byte-exact codec of [`crate::resume`] (floats as `to_bits`), and
+//! byte-exact result codec of [`crate::resume`] (floats as `to_bits`), and
 //! supervision knobs (`worker_timeout_ms`, `heartbeat_every_steps`,
 //! process count) shape only *when* workers are killed, never *what* a
 //! replica computes. A fleet run — even one whose workers were killed
@@ -52,13 +52,15 @@
 
 use crate::resume::{self, CheckpointStore};
 use crate::runner::{
-    run_replica_with, PreparedTask, ReplicaOptions, ReplicaResult, ReplicaStatus, VariantRuns,
+    run_cell, run_replica_with, Attempt, Executor, Failure, PreparedTask, ReplicaOptions,
+    ReplicaResult, VariantRuns,
 };
 use crate::settings::ExperimentSettings;
 use crate::task::{DataSource, ModelKind, TaskSpec};
 use crate::variant::NoiseVariant;
 use hwsim::{ChaosConfig, Device};
 use nnet::checkpoint::Checkpoint;
+use nnet::codec::{Dec, Enc};
 use nnet::schedule::LrSchedule;
 use nnet::trainer::TrainConfig;
 use std::ffi::OsString;
@@ -195,117 +197,8 @@ pub enum Frame {
 // Codec
 // ---------------------------------------------------------------------------
 
-/// Little-endian payload writer. Field order *is* the codec: encode and
-/// decode below must visit fields identically, which the round-trip
-/// tests (unit + property) pin down.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn size(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    /// Bit-exact float (`to_bits`): text formatting cannot promise
-    /// bit-identity, so no float ever crosses the wire as text.
-    fn f32b(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-    fn flag(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn str(&mut self, s: &str) {
-        self.size(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-}
-
 fn bad(detail: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("fleet frame: {detail}"))
-}
-
-/// Bounds-checked little-endian payload reader; truncated or foreign
-/// bytes surface as [`io::ErrorKind::InvalidData`], never a panic.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Dec<'_> {
-    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| bad("overflow"))?;
-        if end > self.buf.len() {
-            return Err(bad("truncated"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn size(&mut self) -> io::Result<usize> {
-        Ok(self.u64()? as usize)
-    }
-    fn f32b(&mut self) -> io::Result<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn flag(&mut self) -> io::Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(bad(&format!("bad flag byte {b}"))),
-        }
-    }
-    /// A declared byte length, sanity-checked against the bytes that
-    /// remain so a corrupt length cannot trigger a huge allocation.
-    fn len(&mut self) -> io::Result<usize> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(bad("length exceeds payload"));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("non-UTF-8 string"))
-    }
-    fn opt_u64(&mut self) -> io::Result<Option<u64>> {
-        Ok(if self.flag()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
 }
 
 fn enc_model(e: &mut Enc, m: &ModelKind) {
@@ -316,7 +209,7 @@ fn enc_model(e: &mut Enc, m: &ModelKind) {
         }
         ModelKind::SmallCnnDropout { rate } => {
             e.u8(1);
-            e.f32b(rate);
+            e.f32(rate);
         }
         ModelKind::MicroResNet18 => e.u8(2),
         ModelKind::MicroResNet50 => e.u8(3),
@@ -332,7 +225,7 @@ fn enc_model(e: &mut Enc, m: &ModelKind) {
 fn dec_model(d: &mut Dec<'_>) -> io::Result<ModelKind> {
     Ok(match d.u8()? {
         0 => ModelKind::SmallCnn { with_bn: d.flag()? },
-        1 => ModelKind::SmallCnnDropout { rate: d.f32b()? },
+        1 => ModelKind::SmallCnnDropout { rate: d.f32()? },
         2 => ModelKind::MicroResNet18,
         3 => ModelKind::MicroResNet50,
         4 => ModelKind::MicroResNetBottleneck,
@@ -352,10 +245,10 @@ fn enc_data(e: &mut Enc, data: &DataSource) {
             e.size(g.channels);
             e.size(g.train_per_class);
             e.size(g.test_per_class);
-            e.f32b(g.class_sep);
-            e.f32b(g.super_sep);
-            e.f32b(g.noise_std);
-            e.f32b(g.label_noise);
+            e.f32(g.class_sep);
+            e.f32(g.super_sep);
+            e.f32(g.noise_std);
+            e.f32(g.label_noise);
             e.u64(g.seed);
         }
         DataSource::Celeba(c) => {
@@ -364,8 +257,8 @@ fn enc_data(e: &mut Enc, data: &DataSource) {
             e.size(c.test_len);
             e.size(c.hw);
             e.size(c.channels);
-            e.f32b(c.signal);
-            e.f32b(c.noise_std);
+            e.f32(c.signal);
+            e.f32(c.noise_std);
             e.u64(c.seed);
         }
     }
@@ -380,10 +273,10 @@ fn dec_data(d: &mut Dec<'_>) -> io::Result<DataSource> {
             channels: d.size()?,
             train_per_class: d.size()?,
             test_per_class: d.size()?,
-            class_sep: d.f32b()?,
-            super_sep: d.f32b()?,
-            noise_std: d.f32b()?,
-            label_noise: d.f32b()?,
+            class_sep: d.f32()?,
+            super_sep: d.f32()?,
+            noise_std: d.f32()?,
+            label_noise: d.f32()?,
             seed: d.u64()?,
         }),
         1 => DataSource::Celeba(nsdata::CelebaSpec {
@@ -391,8 +284,8 @@ fn dec_data(d: &mut Dec<'_>) -> io::Result<DataSource> {
             test_len: d.size()?,
             hw: d.size()?,
             channels: d.size()?,
-            signal: d.f32b()?,
-            noise_std: d.f32b()?,
+            signal: d.f32()?,
+            noise_std: d.f32()?,
             seed: d.u64()?,
         }),
         t => return Err(bad(&format!("unknown data tag {t}"))),
@@ -403,7 +296,7 @@ fn enc_schedule(e: &mut Enc, s: &LrSchedule) {
     match *s {
         LrSchedule::Constant { lr } => {
             e.u8(0);
-            e.f32b(lr);
+            e.f32(lr);
         }
         LrSchedule::StepDecay {
             base_lr,
@@ -411,8 +304,8 @@ fn enc_schedule(e: &mut Enc, s: &LrSchedule) {
             every,
         } => {
             e.u8(1);
-            e.f32b(base_lr);
-            e.f32b(factor);
+            e.f32(base_lr);
+            e.f32(factor);
             e.u32(every);
         }
         LrSchedule::WarmupCosine {
@@ -421,7 +314,7 @@ fn enc_schedule(e: &mut Enc, s: &LrSchedule) {
             total_epochs,
         } => {
             e.u8(2);
-            e.f32b(base_lr);
+            e.f32(base_lr);
             e.u32(warmup_epochs);
             e.u32(total_epochs);
         }
@@ -430,14 +323,14 @@ fn enc_schedule(e: &mut Enc, s: &LrSchedule) {
 
 fn dec_schedule(d: &mut Dec<'_>) -> io::Result<LrSchedule> {
     Ok(match d.u8()? {
-        0 => LrSchedule::Constant { lr: d.f32b()? },
+        0 => LrSchedule::Constant { lr: d.f32()? },
         1 => LrSchedule::StepDecay {
-            base_lr: d.f32b()?,
-            factor: d.f32b()?,
+            base_lr: d.f32()?,
+            factor: d.f32()?,
             every: d.u32()?,
         },
         2 => LrSchedule::WarmupCosine {
-            base_lr: d.f32b()?,
+            base_lr: d.f32()?,
             warmup_epochs: d.u32()?,
             total_epochs: d.u32()?,
         },
@@ -449,8 +342,8 @@ fn enc_train(e: &mut Enc, t: &TrainConfig) {
     e.u32(t.epochs);
     e.size(t.batch_size);
     enc_schedule(e, &t.schedule);
-    e.f32b(t.sgd.momentum);
-    e.f32b(t.sgd.weight_decay);
+    e.f32(t.sgd.momentum);
+    e.f32(t.sgd.weight_decay);
     e.flag(t.shuffle);
     e.opt_u64(t.shuffle_seed_override);
     e.size(t.data_parallel_workers);
@@ -464,8 +357,8 @@ fn dec_train(d: &mut Dec<'_>) -> io::Result<TrainConfig> {
         batch_size: d.size()?,
         schedule: dec_schedule(d)?,
         sgd: nnet::optim::SgdConfig {
-            momentum: d.f32b()?,
-            weight_decay: d.f32b()?,
+            momentum: d.f32()?,
+            weight_decay: d.f32()?,
         },
         shuffle: d.flag()?,
         shuffle_seed_override: d.opt_u64()?,
@@ -479,8 +372,8 @@ fn enc_settings(e: &mut Enc, s: &ExperimentSettings) {
     e.u32(s.replicas);
     e.u64(s.base_seed);
     e.u64(s.entropy_salt);
-    e.f32b(s.amp_ulps);
-    e.f32b(s.epochs_scale);
+    e.f32(s.amp_ulps);
+    e.f32(s.epochs_scale);
     e.size(s.exec_threads);
     e.u32(s.retry_budget);
     match &s.chaos {
@@ -506,8 +399,8 @@ fn dec_settings(d: &mut Dec<'_>) -> io::Result<ExperimentSettings> {
         replicas: d.u32()?,
         base_seed: d.u64()?,
         entropy_salt: d.u64()?,
-        amp_ulps: d.f32b()?,
-        epochs_scale: d.f32b()?,
+        amp_ulps: d.f32()?,
+        epochs_scale: d.f32()?,
         exec_threads: d.size()?,
         retry_budget: d.u32()?,
         chaos: if d.flag()? {
@@ -601,7 +494,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             e.u8(TAG_RESULT);
             // The byte-exact result codec shared with the checkpoint
             // store: what crosses the pipe is what lands on disk.
-            e.buf.extend_from_slice(&resume::encode_result(r));
+            e.bytes(&resume::encode_result(r));
         }
         Frame::Fault(f) => {
             e.u8(TAG_FAULT);
@@ -610,14 +503,11 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             e.str(&f.reason);
         }
     }
-    e.buf
+    e.into_bytes()
 }
 
 fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
-    let mut d = Dec {
-        buf: payload,
-        pos: 0,
-    };
+    let mut d = Dec::new(payload);
     let frame = match d.u8()? {
         TAG_SPEC => Frame::Spec(Box::new(dec_spec(&mut d)?)),
         TAG_HEARTBEAT => Frame::Heartbeat(Heartbeat {
@@ -638,9 +528,7 @@ fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
         }),
         t => return Err(bad(&format!("unknown frame tag {t}"))),
     };
-    if d.pos != payload.len() {
-        return Err(bad("trailing bytes"));
-    }
+    d.finish()?;
     Ok(frame)
 }
 
@@ -789,16 +677,9 @@ fn worker_run() -> io::Result<()> {
     let prepared = PreparedTask::prepare(&spec.task);
 
     // Resume from the cell's durable checkpoint if one survived a prior
-    // (killed) attempt; anything unreadable degrades to a fresh start.
+    // (killed) attempt.
     let ckpt = resume::ckpt_path(&spec.cell_dir, spec.replica);
-    let resume_from = match Checkpoint::load(&ckpt) {
-        Ok(c) => Some(c),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-        Err(_) => {
-            std::fs::remove_file(&ckpt).ok();
-            None
-        }
-    };
+    let resume_from = resume::resume_point(&spec.cell_dir, spec.replica);
 
     let stdout = io::stdout();
     let (replica, attempt) = (spec.replica, spec.attempt);
@@ -896,21 +777,6 @@ impl Default for FleetOptions {
     }
 }
 
-/// How one worker process attempt ended, from the supervisor's seat.
-#[derive(Debug)]
-enum AttemptOutcome {
-    /// Exit 0 with a result frame delivered.
-    Clean(Box<ReplicaResult>),
-    /// Exit 0 with a graceful [`WorkerFault`] frame (structured training
-    /// error — launch failure, divergence, ...).
-    Faulted(String),
-    /// Abnormal death: panic exit code, signal, or a clean exit that
-    /// never delivered a result.
-    Crashed(String),
-    /// Killed by the heartbeat watchdog or the absolute deadline.
-    TimedOut,
-}
-
 /// Kills and reaps the child on every exit path — early `?` returns and
 /// panics included — so the supervisor can never leak a zombie or leave
 /// an orphan training replica burning CPU.
@@ -926,32 +792,49 @@ impl Drop for Reaper {
 /// Deterministic capped exponential backoff before retry `attempt` (≥ 1):
 /// 50 ms, 100 ms, 200 ms, ... capped at 2 s. Deterministic because
 /// retries must be as replayable as everything else here.
-fn backoff_ms(attempt: u32) -> u64 {
+pub(crate) fn backoff_ms(attempt: u32) -> u64 {
     (BACKOFF_BASE_MS << (attempt - 1).min(16)).min(BACKOFF_CAP_MS)
 }
 
-/// Everything fixed across one cell's replicas during fleet dispatch.
-struct FleetCell<'a> {
-    task: &'a TaskSpec,
-    device_name: &'a str,
-    variant: NoiseVariant,
-    settings: &'a ExperimentSettings,
-    dir: &'a Path,
-    checkpoint_every_epochs: u32,
-    worker_exe: &'a Path,
-    worker_args: &'a [OsString],
+/// Checks that a cell can run in worker processes and resolves the worker
+/// executable. The device must be a preset and the cell directory UTF-8,
+/// because a [`ReplicaSpec`] ships both as strings.
+pub(crate) fn worker_exe(device: &Device, dir: &Path, opts: &FleetOptions) -> io::Result<PathBuf> {
+    if device_by_name(device.name()).is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "device {:?} is not a preset; fleet mode ships devices by name",
+                device.name()
+            ),
+        ));
+    }
+    if dir.to_str().is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "fleet mode requires a UTF-8 checkpoint-store path",
+        ));
+    }
+    match &opts.worker_exe {
+        Some(p) => Ok(p.clone()),
+        None => std::env::current_exe(),
+    }
 }
 
 /// Spawns one worker process for `spec`, feeds it the spec frame, and
-/// supervises it to an [`AttemptOutcome`]: frames reset the watchdog, a
-/// silent worker or one past the absolute deadline is killed, and an
-/// exited worker is classified from its frames and exit status.
-fn run_attempt(cell: &FleetCell<'_>, spec: &ReplicaSpec) -> io::Result<AttemptOutcome> {
+/// supervises it to an [`Attempt`]: frames reset the watchdog, a silent
+/// worker or one past the absolute deadline is killed, and an exited
+/// worker is classified from its frames and exit status.
+pub(crate) fn run_attempt(
+    worker_exe: &Path,
+    worker_args: &[OsString],
+    spec: &ReplicaSpec,
+) -> io::Result<Attempt> {
     use std::process::{Command, Stdio};
     use std::sync::mpsc;
 
-    let child = Command::new(cell.worker_exe)
-        .args(cell.worker_args)
+    let child = Command::new(worker_exe)
+        .args(worker_args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -1029,7 +912,7 @@ fn run_attempt(cell: &FleetCell<'_>, spec: &ReplicaSpec) -> io::Result<AttemptOu
     let Some(status) = exited else {
         // Watchdog fired: kill and reap the worker.
         drop(child);
-        return Ok(AttemptOutcome::TimedOut);
+        return Ok(Err(Failure::TimedOut));
     };
     // The pipe may still hold frames the event loop never saw (e.g. the
     // result of a worker that finished between polls). The worker flushed
@@ -1050,118 +933,50 @@ fn run_attempt(cell: &FleetCell<'_>, spec: &ReplicaSpec) -> io::Result<AttemptOu
     drop(child);
 
     Ok(if let Some(reason) = fault {
-        AttemptOutcome::Faulted(reason)
+        Err(Failure::Faulted(reason))
     } else if status.success() {
         match result {
-            Some(r) if r.replica == spec.replica => AttemptOutcome::Clean(Box::new(r)),
-            Some(r) => AttemptOutcome::Crashed(format!(
+            Some(r) if r.replica == spec.replica => Ok(r),
+            Some(r) => Err(Failure::Crashed(format!(
                 "protocol violation: result for replica {} on replica {}'s pipe",
                 r.replica, spec.replica
+            ))),
+            None => Err(Failure::Crashed(
+                "exited cleanly without a result frame".into(),
             )),
-            None => AttemptOutcome::Crashed("exited cleanly without a result frame".into()),
         }
     } else if let Some(code) = status.code() {
-        AttemptOutcome::Crashed(format!("exit code {code}"))
+        Err(Failure::Crashed(format!("exit code {code}")))
     } else {
-        classify_signal(&status)
+        Err(classify_signal(&status))
     })
 }
 
 #[cfg(unix)]
-fn classify_signal(status: &std::process::ExitStatus) -> AttemptOutcome {
+fn classify_signal(status: &std::process::ExitStatus) -> Failure {
     use std::os::unix::process::ExitStatusExt;
     match status.signal() {
-        Some(sig) => AttemptOutcome::Crashed(format!("signal {sig}")),
-        None => AttemptOutcome::Crashed("killed by unknown cause".into()),
+        Some(sig) => Failure::Crashed(format!("signal {sig}")),
+        None => Failure::Crashed("killed by unknown cause".into()),
     }
 }
 
 #[cfg(not(unix))]
-fn classify_signal(_status: &std::process::ExitStatus) -> AttemptOutcome {
-    AttemptOutcome::Crashed("killed by unknown cause".into())
+fn classify_signal(_status: &std::process::ExitStatus) -> Failure {
+    Failure::Crashed("killed by unknown cause".into())
 }
 
-/// One replica under process-isolated supervision: dispatch, watch,
-/// classify, and re-dispatch within the retry budget (resuming from the
-/// cell's durable checkpoint). Persists the result/status exactly like
-/// the in-process resumable supervisor — the supervisor is the single
-/// writer of result and status files; workers only touch checkpoints.
-fn supervise_fleet(
-    cell: &FleetCell<'_>,
-    replica: u32,
-) -> io::Result<(Option<ReplicaResult>, ReplicaStatus)> {
-    let ckpt = resume::ckpt_path(cell.dir, replica);
-    let mut last = AttemptOutcome::Crashed("never dispatched".into());
-    for attempt in 0..=cell.settings.retry_budget {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
-        }
-        let spec = ReplicaSpec {
-            task: cell.task.clone(),
-            device_name: cell.device_name.to_string(),
-            variant: cell.variant,
-            settings: *cell.settings,
-            replica,
-            attempt,
-            cell_dir: cell.dir.to_path_buf(),
-            checkpoint_every_epochs: cell.checkpoint_every_epochs,
-        };
-        match run_attempt(cell, &spec)? {
-            AttemptOutcome::Clean(result) => {
-                let status = if attempt == 0 {
-                    ReplicaStatus::Ok
-                } else {
-                    ReplicaStatus::Retried {
-                        attempts: attempt + 1,
-                    }
-                };
-                resume::write_atomic(
-                    &resume::result_path(cell.dir, replica),
-                    &resume::encode_result(&result),
-                )?;
-                resume::write_atomic(
-                    &resume::status_path(cell.dir, replica),
-                    resume::status_line(&status).as_bytes(),
-                )?;
-                std::fs::remove_file(&ckpt).ok();
-                return Ok((Some(*result), status));
-            }
-            other => last = other,
-        }
-    }
-    let attempts = cell.settings.retry_budget + 1;
-    let status = match last {
-        AttemptOutcome::TimedOut => ReplicaStatus::TimedOut { attempts },
-        AttemptOutcome::Crashed(reason) => ReplicaStatus::Crashed {
-            reason: format!("{attempts} attempts; last: {reason}"),
-        },
-        AttemptOutcome::Faulted(reason) => ReplicaStatus::Failed {
-            reason: format!("{attempts} attempts exhausted; last: {reason}"),
-        },
-        AttemptOutcome::Clean(_) => unreachable!("clean attempts return early"),
-    };
-    resume::write_atomic(
-        &resume::status_path(cell.dir, replica),
-        resume::status_line(&status).as_bytes(),
-    )?;
-    Ok((None, status))
-}
-
-/// [`crate::resume::run_variant_resumable`] with process isolation: each
-/// pending replica runs in its own worker process under a heartbeat
-/// watchdog, so hangs and process-fatal faults (aborts, signals) degrade
-/// into supervised retries instead of a wedged or dead experiment.
-///
-/// Durable progress lives in the same [`CheckpointStore`] cells with the
-/// same formats — fleet runs, resumable runs, and in-process runs are
+/// [`run_cell`] on [`Executor::Processes`]: each pending replica runs in
+/// its own worker process under a heartbeat watchdog, so hangs and
+/// process-fatal faults (aborts, signals) degrade into supervised retries
+/// instead of a wedged or dead experiment. Progress lives in the same
+/// [`CheckpointStore`] cells as [`Executor::Durable`] runs, which are
 /// interchangeable and bit-identical.
 ///
 /// # Errors
 ///
-/// Store/spawn IO failures, a custom (non-preset) device, a non-UTF-8
-/// store path, or settings that fail
-/// [`ExperimentSettings::validate_for`]. Worker deaths are *not* errors:
-/// they degrade into [`ReplicaStatus`] entries.
+/// As [`run_cell`]. Worker deaths are *not* errors: they degrade into
+/// [`crate::runner::ReplicaStatus`] entries.
 pub fn run_variant_fleet(
     prepared: &PreparedTask,
     device: &Device,
@@ -1171,131 +986,24 @@ pub fn run_variant_fleet(
     checkpoint_every_epochs: u32,
     opts: &FleetOptions,
 ) -> io::Result<VariantRuns> {
-    settings
-        .validate_for(&prepared.spec)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    if device_by_name(device.name()).is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "device {:?} is not a preset; fleet mode ships devices by name",
-                device.name()
-            ),
-        ));
-    }
-    let dir = store.cell_dir(&prepared.spec.name, device.name(), variant);
-    std::fs::create_dir_all(&dir)?;
-    if dir.to_str().is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "fleet mode requires a UTF-8 checkpoint-store path",
-        ));
-    }
-    let worker_exe = match &opts.worker_exe {
-        Some(p) => p.clone(),
-        None => std::env::current_exe()?,
-    };
-    let n = settings.replicas;
-
-    type Supervised = (Option<ReplicaResult>, ReplicaStatus);
-    let mut harvested: Vec<Option<io::Result<Supervised>>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<u32> = Vec::new();
-    for r in 0..n {
-        match std::fs::read(resume::result_path(&dir, r)).map(|b| resume::decode_result(&b)) {
-            Ok(Ok(result)) => {
-                let status = std::fs::read_to_string(resume::status_path(&dir, r))
-                    .ok()
-                    .and_then(|s| resume::parse_status(&s))
-                    .unwrap_or(ReplicaStatus::Ok);
-                harvested[r as usize] = Some(Ok((Some(result), status)));
-            }
-            _ => pending.push(r),
-        }
-    }
-
-    let cell = FleetCell {
-        task: &prepared.spec,
-        device_name: device.name(),
+    run_cell(
+        prepared,
+        device,
         variant,
         settings,
-        dir: &dir,
-        checkpoint_every_epochs,
-        worker_exe: &worker_exe,
-        worker_args: &opts.worker_args,
-    };
-    let procs = if opts.procs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        opts.procs
-    }
-    .min(pending.len().max(1));
-
-    if procs <= 1 {
-        for &r in &pending {
-            harvested[r as usize] = Some(supervise_fleet(&cell, r));
-        }
-    } else {
-        // Dispatcher threads pull replica indices from a shared counter;
-        // each thread blocks on its own worker *process*, so `procs` is
-        // the process-level parallelism cap.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let pending = &pending;
-        let cell = &cell;
-        let collected = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..procs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(u32, io::Result<Supervised>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&r) = pending.get(i) else {
-                                return local;
-                            };
-                            local.push((r, supervise_fleet(cell, r)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet dispatcher thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (r, out) in collected {
-            harvested[r as usize] = Some(out);
-        }
-    }
-
-    let mut results = Vec::with_capacity(n as usize);
-    let mut statuses = Vec::with_capacity(n as usize);
-    let mut manifest = Vec::with_capacity(n as usize);
-    for (r, slot) in harvested.into_iter().enumerate() {
-        let (result, status) = slot.expect("replica not supervised")?;
-        manifest.push((r as u32, resume::status_line(&status)));
-        results.extend(result);
-        statuses.push(status);
-    }
-    resume::write_manifest(
-        &dir,
-        &prepared.spec.name,
-        device.name(),
-        variant,
-        &manifest,
-        n,
-    )?;
-    Ok(VariantRuns {
-        variant,
-        results,
-        statuses,
-    })
+        &Executor::Processes {
+            store: store.clone(),
+            checkpoint_every_epochs,
+            fleet: opts.clone(),
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Preds;
+    use crate::runner::{Preds, ReplicaStatus};
+    use detrand::SplitMix64;
     use proptest::prelude::*;
 
     fn sample_spec() -> ReplicaSpec {
@@ -1451,6 +1159,52 @@ mod tests {
         assert_eq!(h.step, 99);
         assert!(dec.skipped() > 0, "corruption must be counted");
         assert!(dec.next_frame().is_none());
+    }
+
+    /// Every truncation of each valid frame, and every single-byte
+    /// overwrite from a fixed SplitMix64 sequence, either yields no frame
+    /// or a frame that re-encodes to exactly those bytes.
+    #[test]
+    fn mangled_frames_never_decode_to_a_different_encoding() {
+        let frames = [
+            Frame::Spec(Box::new(sample_spec())),
+            Frame::Heartbeat(Heartbeat {
+                replica: 1,
+                attempt: 2,
+                step: 3,
+            }),
+            Frame::Result(Box::new(ReplicaResult {
+                replica: 4,
+                accuracy: 0.5,
+                preds: Preds::Binary(vec![1, 0, 1]),
+                weights: vec![0.25, -1.0],
+                final_train_loss: 0.125,
+            })),
+            Frame::Fault(WorkerFault {
+                replica: 5,
+                attempt: 0,
+                reason: "injected".into(),
+            }),
+        ];
+        let mut rng = SplitMix64::new(0x5EED);
+        for frame in &frames {
+            let bytes = encode_frame(frame);
+            let mut cases: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+            for i in 0..bytes.len() {
+                for _ in 0..4 {
+                    let mut m = bytes.clone();
+                    m[i] = rng.next_u64() as u8;
+                    cases.push(m);
+                }
+            }
+            for m in cases {
+                let mut dec = FrameDecoder::new();
+                dec.push(&m);
+                if let Some(back) = dec.next_frame() {
+                    assert_eq!(encode_frame(&back), m);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -1,16 +1,17 @@
-//! Resumable fleet execution: durable per-cell progress under
-//! `results/.ckpt/`.
+//! Durable fleet progress: the [`CheckpointStore`] under `results/.ckpt/`.
 //!
 //! The reproduction driver runs large (task × device × variant) grids that
 //! can be interrupted at any point — a wall-clock limit, a host failure, a
-//! ctrl-C. This module makes those interruptions cheap instead of fatal:
+//! ctrl-C. The store makes those interruptions cheap instead of fatal.
+//! Under [`Executor::Durable`] and [`Executor::Processes`] the engine in
+//! [`crate::runner::run_cell`]:
 //!
-//! - every *completed* replica's [`ReplicaResult`] is persisted to its
-//!   cell directory the moment it finishes (resume skips it entirely);
-//! - every *in-flight* replica sinks an epoch-boundary [`Checkpoint`] to
-//!   disk, so a resumed run re-enters mid-training instead of re-training
-//!   from scratch;
-//! - a human-readable `manifest.txt` per cell records fleet progress.
+//! - persists every *completed* replica's [`ReplicaResult`] to its cell
+//!   directory the moment it finishes (resume skips it entirely);
+//! - sinks an epoch-boundary [`Checkpoint`] of every *in-flight* replica
+//!   to disk, so a resumed run re-enters mid-training instead of
+//!   re-training from scratch;
+//! - keeps a human-readable `manifest.txt` per cell.
 //!
 //! Because replicas are pure functions of `(task, device, variant,
 //! settings, replica)` and checkpoints capture the *complete* training
@@ -24,21 +25,27 @@
 //! ```text
 //! <root>/<task>/<device>/<variant>/
 //!     r0.result      completed replica 0 (binary, byte-exact floats)
-//!     r0.status      "ok" | "retried N" | "failed <reason>"
+//!     r0.status      "ok" | "retried N" | "failed <reason>" | ...
 //!     r1.ckpt        epoch-boundary checkpoint of in-flight replica 1
 //!     manifest.txt   human-readable fleet progress
 //! ```
+//!
+//! The status is written before the result, so the result file is the
+//! commit record: a replica counts as complete exactly when its result
+//! decodes.
 
 use crate::runner::{
-    run_replica_with, Preds, PreparedTask, ReplicaOptions, ReplicaResult, ReplicaStatus,
-    VariantRuns,
+    run_cell, Executor, Preds, PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
 };
 use crate::settings::ExperimentSettings;
 use crate::variant::NoiseVariant;
 use hwsim::Device;
 use nnet::checkpoint::Checkpoint;
-use std::io::{self, Write};
+use nnet::codec::{Dec, Enc};
+use std::io;
 use std::path::{Path, PathBuf};
+
+pub use nnet::codec::write_atomic;
 
 /// Magic prefix of a persisted replica result ("NSRR").
 const RESULT_MAGIC: u32 = 0x4E53_5252;
@@ -105,45 +112,30 @@ impl CheckpointStore {
     }
 }
 
-/// Encodes a [`ReplicaResult`] with byte-exact floats (`f32::to_bits` /
-/// `f64::to_bits`): a resumed fleet must reproduce an uninterrupted one
-/// bit-for-bit, and a text codec cannot promise that. Shared with the
-/// fleet IPC layer, which ships the same bytes over a pipe instead of
-/// through a file.
+/// Encodes a [`ReplicaResult`] with byte-exact floats: a resumed fleet
+/// must reproduce an uninterrupted one bit-for-bit, and a text codec
+/// cannot promise that. Shared with the fleet IPC layer, which ships the
+/// same bytes over a pipe instead of through a file.
 pub(crate) fn encode_result(r: &ReplicaResult) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + 4 * r.weights.len());
-    out.extend_from_slice(&RESULT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&RESULT_VERSION.to_le_bytes());
-    out.extend_from_slice(&r.replica.to_le_bytes());
-    out.extend_from_slice(&r.accuracy.to_bits().to_le_bytes());
+    let mut e = Enc::with_capacity(64 + 4 * r.weights.len());
+    e.u32(RESULT_MAGIC);
+    e.u32(RESULT_VERSION);
+    e.u32(r.replica);
+    e.f64(r.accuracy);
     match &r.preds {
         Preds::Classes(p) => {
-            out.push(0);
-            out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            for &c in p {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
+            e.u8(0);
+            e.u32s(p);
         }
         Preds::Binary(p) => {
-            out.push(1);
-            out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            out.extend_from_slice(p);
+            e.u8(1);
+            e.size(p.len());
+            e.bytes(p);
         }
     }
-    out.extend_from_slice(&(r.weights.len() as u64).to_le_bytes());
-    for &w in &r.weights {
-        out.extend_from_slice(&w.to_bits().to_le_bytes());
-    }
-    out.extend_from_slice(&r.final_train_loss.to_bits().to_le_bytes());
-    out
-}
-
-/// Little-endian reader over a persisted result; every accessor
-/// bounds-checks so truncated or foreign files surface as
-/// [`io::ErrorKind::InvalidData`], never a panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    e.f32s(&r.weights);
+    e.f32(r.final_train_loss);
+    e.into_bytes()
 }
 
 fn bad(detail: &str) -> io::Error {
@@ -153,80 +145,30 @@ fn bad(detail: &str) -> io::Error {
     )
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| bad("overflow"))?;
-        if end > self.buf.len() {
-            return Err(bad("truncated"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A declared element count, sanity-checked against the bytes that
-    /// actually remain so a corrupt length cannot trigger a huge
-    /// allocation.
-    fn len(&mut self, elem_size: usize) -> io::Result<usize> {
-        let n = self.u64()? as usize;
-        if n.saturating_mul(elem_size) > self.buf.len() - self.pos {
-            return Err(bad("length exceeds payload"));
-        }
-        Ok(n)
-    }
-}
-
+/// Decodes [`encode_result`] bytes; truncated or foreign bytes surface as
+/// [`io::ErrorKind::InvalidData`], never a panic.
 pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.u32()? != RESULT_MAGIC {
+    let mut d = Dec::new(bytes);
+    if d.u32()? != RESULT_MAGIC {
         return Err(bad("bad magic"));
     }
-    let version = r.u32()?;
+    let version = d.u32()?;
     if version != RESULT_VERSION {
         return Err(bad(&format!("unsupported version {version}")));
     }
-    let replica = r.u32()?;
-    let accuracy = f64::from_bits(r.u64()?);
-    let preds = match r.u8()? {
-        0 => {
-            let n = r.len(4)?;
-            let mut p = Vec::with_capacity(n);
-            for _ in 0..n {
-                p.push(r.u32()?);
-            }
-            Preds::Classes(p)
-        }
+    let replica = d.u32()?;
+    let accuracy = d.f64()?;
+    let preds = match d.u8()? {
+        0 => Preds::Classes(d.u32s()?),
         1 => {
-            let n = r.len(1)?;
-            Preds::Binary(r.take(n)?.to_vec())
+            let n = d.len(1)?;
+            Preds::Binary(d.take(n)?.to_vec())
         }
         t => return Err(bad(&format!("unknown preds tag {t}"))),
     };
-    let n = r.len(4)?;
-    let mut weights = Vec::with_capacity(n);
-    for _ in 0..n {
-        weights.push(f32::from_bits(r.u32()?));
-    }
-    let final_train_loss = f32::from_bits(r.u32()?);
-    if r.pos != bytes.len() {
-        return Err(bad("trailing bytes"));
-    }
+    let weights = d.f32s()?;
+    let final_train_loss = d.f32()?;
+    d.finish()?;
     Ok(ReplicaResult {
         replica,
         accuracy,
@@ -234,21 +176,6 @@ pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
         weights,
         final_train_loss,
     })
-}
-
-/// Writes `bytes` atomically (tmp + fsync + rename), so an interrupt
-/// mid-write never leaves a half-written file where a reader would look.
-/// Used for every durable artifact this crate publishes: checkpoint-store
-/// cells here, and (via [`crate::report::save_json`]) the `results/*.json`
-/// reports.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 pub(crate) fn status_line(status: &ReplicaStatus) -> String {
@@ -301,123 +228,83 @@ pub(crate) fn ckpt_path(dir: &Path, replica: u32) -> PathBuf {
     dir.join(format!("r{replica}.ckpt"))
 }
 
+/// A completed replica of the cell in `dir`, if its result file decodes;
+/// anything else (absent, torn, foreign bytes) means the replica runs
+/// again. The result is the commit record, so a failed or missing status
+/// next to it is stale (say, from a run that exhausted its budget before
+/// a resume succeeded) and reads as `Ok`.
+pub(crate) fn harvest(dir: &Path, replica: u32) -> Option<(ReplicaResult, ReplicaStatus)> {
+    let bytes = std::fs::read(result_path(dir, replica)).ok()?;
+    let result = decode_result(&bytes).ok()?;
+    let status = std::fs::read_to_string(status_path(dir, replica))
+        .ok()
+        .and_then(|s| parse_status(&s))
+        .filter(|s| !s.is_failed())
+        .unwrap_or(ReplicaStatus::Ok);
+    Some((result, status))
+}
+
+/// Persists a supervised replica: the status first, then the result (the
+/// commit record), then drops its no-longer-needed checkpoint.
+pub(crate) fn persist(
+    dir: &Path,
+    replica: u32,
+    result: Option<&ReplicaResult>,
+    status: &ReplicaStatus,
+) -> io::Result<()> {
+    write_atomic(&status_path(dir, replica), status_line(status).as_bytes())?;
+    if let Some(r) = result {
+        write_atomic(&result_path(dir, replica), &encode_result(r))?;
+        std::fs::remove_file(ckpt_path(dir, replica)).ok();
+    }
+    Ok(())
+}
+
+/// The newest durable checkpoint of `replica`. An unreadable one (a torn
+/// write, disk corruption) is deleted, and the replica starts fresh
+/// instead of failing.
+pub(crate) fn resume_point(dir: &Path, replica: u32) -> Option<Checkpoint> {
+    let path = ckpt_path(dir, replica);
+    match Checkpoint::load(&path) {
+        Ok(c) => Some(c),
+        Err(e) => {
+            if e.kind() != io::ErrorKind::NotFound {
+                std::fs::remove_file(&path).ok();
+            }
+            None
+        }
+    }
+}
+
 /// Rewrites the cell's human-readable progress manifest.
 pub(crate) fn write_manifest(
     dir: &Path,
     task: &str,
     device: &str,
     variant: NoiseVariant,
-    statuses: &[(u32, String)],
-    total: u32,
+    statuses: &[ReplicaStatus],
 ) -> io::Result<()> {
     let mut out = format!(
-        "cell: {task} / {device} / {variant}\nreplicas: {} of {total} accounted for\n",
-        statuses.len()
+        "cell: {task} / {device} / {variant}\nreplicas: {n} of {n} accounted for\n",
+        n = statuses.len()
     );
-    for (r, s) in statuses {
-        out.push_str(&format!("r{r}: {s}\n"));
+    for (r, s) in statuses.iter().enumerate() {
+        out.push_str(&format!("r{r}: {}\n", status_line(s)));
     }
     write_atomic(&dir.join("manifest.txt"), out.as_bytes())
 }
 
-/// One replica under supervision with durable progress: attempts resume
-/// from the newest on-disk epoch checkpoint and sink fresh checkpoints as
-/// they train. Checkpoints are only ever emitted at fault-free epoch
-/// boundaries (`fit` aborts *before* the sink on a faulted step), so a
-/// checkpoint from a crashed attempt is still a bit-exact prefix of the
-/// clean trajectory and safe for any later attempt to resume from.
-fn supervise_resumable(
-    prepared: &PreparedTask,
-    device: &Device,
-    variant: NoiseVariant,
-    settings: &ExperimentSettings,
-    replica: u32,
-    dir: &Path,
-    checkpoint_every_epochs: u32,
-) -> io::Result<(Option<ReplicaResult>, ReplicaStatus)> {
-    let ckpt = ckpt_path(dir, replica);
-    let mut last_reason = String::new();
-    for attempt in 0..=settings.retry_budget {
-        // An unreadable checkpoint (partial write survived a crash before
-        // the atomic rename existed, disk corruption, ...) must degrade to
-        // a fresh start, not kill the replica.
-        let resume = match Checkpoint::load(&ckpt) {
-            Ok(c) => Some(c),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(_) => {
-                std::fs::remove_file(&ckpt).ok();
-                None
-            }
-        };
-        let mut sink_err: Option<io::Error> = None;
-        let mut sink = |c: &Checkpoint| {
-            if sink_err.is_none() {
-                if let Err(e) = c.save(&ckpt) {
-                    sink_err = Some(e);
-                }
-            }
-        };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_replica_with(
-                prepared,
-                device,
-                variant,
-                settings,
-                replica,
-                ReplicaOptions {
-                    attempt,
-                    resume: resume.as_ref(),
-                    checkpoint_every_epochs,
-                    sink: Some(&mut sink),
-                    ..ReplicaOptions::default()
-                },
-            )
-        }));
-        if let Some(e) = sink_err {
-            return Err(e);
-        }
-        match outcome {
-            Ok(Ok(result)) => {
-                let status = if attempt == 0 {
-                    ReplicaStatus::Ok
-                } else {
-                    ReplicaStatus::Retried {
-                        attempts: attempt + 1,
-                    }
-                };
-                write_atomic(&result_path(dir, replica), &encode_result(&result))?;
-                write_atomic(&status_path(dir, replica), status_line(&status).as_bytes())?;
-                std::fs::remove_file(&ckpt).ok();
-                return Ok((Some(result), status));
-            }
-            Ok(Err(err)) => last_reason = err.to_string(),
-            Err(payload) => last_reason = crate::runner::panic_reason(payload),
-        }
-    }
-    let attempts = settings.retry_budget + 1;
-    let status = ReplicaStatus::Failed {
-        reason: format!("{attempts} attempts exhausted; last: {last_reason}"),
-    };
-    write_atomic(&status_path(dir, replica), status_line(&status).as_bytes())?;
-    Ok((None, status))
-}
-
-/// [`crate::runner::run_variant`] with durable progress: completed
-/// replicas are loaded from the store instead of re-trained, in-flight
-/// replicas resume from their newest epoch checkpoint, and every
-/// completion is persisted before the fleet moves on.
-///
-/// `checkpoint_every_epochs = 0` still persists *results* (fleet-level
-/// resume) but no mid-training checkpoints.
-///
-/// Previously-`Failed` replicas are re-attempted on resume: under a
-/// deterministic chaos schedule they fail identically (cheap), while a
-/// real transient host fault gets a fresh chance.
+/// [`run_cell`] on [`Executor::Durable`]: completed replicas load from
+/// `store`, in-flight replicas resume from their newest epoch checkpoint,
+/// and every completion is persisted before the fleet moves on.
+/// Previously failed replicas are re-attempted: under a deterministic
+/// chaos schedule they fail identically (cheap), while a real transient
+/// host fault gets a fresh chance.
 ///
 /// # Errors
 ///
-/// Only store IO failures are errors; training faults degrade into
-/// [`ReplicaStatus`] entries exactly as in the in-memory supervisor.
+/// As [`run_cell`]; training faults degrade into [`ReplicaStatus`]
+/// entries, never errors.
 pub fn run_variant_resumable(
     prepared: &PreparedTask,
     device: &Device,
@@ -426,110 +313,16 @@ pub fn run_variant_resumable(
     store: &CheckpointStore,
     checkpoint_every_epochs: u32,
 ) -> io::Result<VariantRuns> {
-    settings
-        .validate_for(&prepared.spec)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let dir = store.cell_dir(&prepared.spec.name, device.name(), variant);
-    std::fs::create_dir_all(&dir)?;
-    let n = settings.replicas;
-
-    type Supervised = (Option<ReplicaResult>, ReplicaStatus);
-    let mut harvested: Vec<Option<io::Result<Supervised>>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<u32> = Vec::new();
-    for r in 0..n {
-        // A readable result file is a completed replica; anything else
-        // (absent, torn write predating atomic saves, foreign bytes) means
-        // the replica runs again.
-        match std::fs::read(result_path(&dir, r)).map(|b| decode_result(&b)) {
-            Ok(Ok(result)) => {
-                let status = std::fs::read_to_string(status_path(&dir, r))
-                    .ok()
-                    .and_then(|s| parse_status(&s))
-                    .unwrap_or(ReplicaStatus::Ok);
-                harvested[r as usize] = Some(Ok((Some(result), status)));
-            }
-            _ => pending.push(r),
-        }
-    }
-
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(pending.len().max(1));
-    if workers <= 1 {
-        for &r in &pending {
-            harvested[r as usize] = Some(supervise_resumable(
-                prepared,
-                device,
-                variant,
-                settings,
-                r,
-                &dir,
-                checkpoint_every_epochs,
-            ));
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let pending = &pending;
-        let dir_ref = &dir;
-        let collected = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(u32, io::Result<Supervised>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&r) = pending.get(i) else {
-                                return local;
-                            };
-                            local.push((
-                                r,
-                                supervise_resumable(
-                                    prepared,
-                                    device,
-                                    variant,
-                                    settings,
-                                    r,
-                                    dir_ref,
-                                    checkpoint_every_epochs,
-                                ),
-                            ));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("resumable supervisor thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (r, out) in collected {
-            harvested[r as usize] = Some(out);
-        }
-    }
-
-    let mut results = Vec::with_capacity(n as usize);
-    let mut statuses = Vec::with_capacity(n as usize);
-    let mut manifest = Vec::with_capacity(n as usize);
-    for (r, cell) in harvested.into_iter().enumerate() {
-        let (result, status) = cell.expect("replica not supervised")?;
-        manifest.push((r as u32, status_line(&status)));
-        results.extend(result);
-        statuses.push(status);
-    }
-    write_manifest(
-        &dir,
-        &prepared.spec.name,
-        device.name(),
+    run_cell(
+        prepared,
+        device,
         variant,
-        &manifest,
-        n,
-    )?;
-    Ok(VariantRuns {
-        variant,
-        results,
-        statuses,
-    })
+        settings,
+        &Executor::Durable {
+            store: store.clone(),
+            checkpoint_every_epochs,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -537,8 +330,9 @@ pub fn run_variant_resumable(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::runner::run_variant;
+    use crate::runner::{run_replica_with, run_variant, ReplicaOptions};
     use crate::task::{DataSource, TaskSpec};
+    use detrand::SplitMix64;
     use nsdata::GaussianSpec;
 
     fn tiny_task() -> TaskSpec {
@@ -627,6 +421,36 @@ mod tests {
         let mut bytes = encode_result(&r);
         bytes.push(0);
         assert!(decode_result(&bytes).is_err());
+    }
+
+    /// Every truncation of a valid result, and every single-byte
+    /// overwrite from a fixed SplitMix64 sequence, either fails to decode
+    /// or re-encodes to exactly those bytes.
+    #[test]
+    fn mangled_results_never_decode_to_a_different_encoding() {
+        for preds in [Preds::Classes(vec![2, 0, 1]), Preds::Binary(vec![1, 0])] {
+            let bytes = encode_result(&ReplicaResult {
+                replica: 3,
+                accuracy: 0.625,
+                preds,
+                weights: vec![0.5, -0.0, f32::NAN],
+                final_train_loss: 0.25,
+            });
+            let mut rng = SplitMix64::new(0x5EED);
+            let mut cases: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+            for i in 0..bytes.len() {
+                for _ in 0..4 {
+                    let mut m = bytes.clone();
+                    m[i] = rng.next_u64() as u8;
+                    cases.push(m);
+                }
+            }
+            for m in cases {
+                if let Ok(r) = decode_result(&m) {
+                    assert_eq!(encode_result(&r), m);
+                }
+            }
+        }
     }
 
     #[test]
@@ -773,6 +597,46 @@ mod tests {
             );
             assert_eq!(a.preds, b.preds);
         }
+    }
+
+    /// A replica exhausted its budget in one run and succeeded on resume,
+    /// and the process died after writing the result but before
+    /// rewriting the status. The store then holds a readable result next
+    /// to a `failed` status; the result is the commit record, so the cell
+    /// must read as complete.
+    #[test]
+    fn readable_result_beats_a_stale_failed_status() {
+        let scratch = Scratch::new("stale-status");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = tiny_settings();
+        let device = Device::v100();
+        let reference = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);
+        let dir = scratch
+            .0
+            .cell_dir(&prepared.spec.name, device.name(), NoiseVariant::Impl);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for r in &reference.results {
+            std::fs::write(result_path(&dir, r.replica), encode_result(r)).expect("plant result");
+            std::fs::write(
+                status_path(&dir, r.replica),
+                "failed 3 attempts exhausted; last: injected",
+            )
+            .expect("plant status");
+        }
+        let runs = run_cell(
+            &prepared,
+            &device,
+            NoiseVariant::Impl,
+            &settings,
+            &Executor::Durable {
+                store: scratch.0.clone(),
+                checkpoint_every_epochs: 0,
+            },
+        )
+        .expect("durable cell");
+        assert!(runs.is_complete(), "{:?}", runs.statuses);
+        assert_eq!(runs.statuses, vec![ReplicaStatus::Ok; 2]);
+        assert_eq!(runs.results.len(), 2);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Replica fleets: train N independent models under a noise variant and
 //! collect everything the stability metrics need.
 
+use crate::fleet::{self, FleetOptions, ReplicaSpec};
+use crate::resume::{self, CheckpointStore};
 use crate::settings::ExperimentSettings;
 use crate::task::{DataSource, TaskSpec};
 use crate::variant::NoiseVariant;
@@ -11,6 +13,11 @@ use nnet::trainer::{
 };
 use nsdata::{CelebaData, ShiftFlip, SplitDataset};
 use serde::{Deserialize, Serialize};
+use std::ffi::OsString;
+use std::io;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// A task with its dataset materialized (generation happens once; the
 /// dataset is a fixed artifact shared by every replica, like CIFAR on
@@ -336,7 +343,7 @@ fn fault_plan_for(
 ///
 /// Returns the [`TrainError`] of a diverged, faulted or empty training
 /// run. Injected kernel panics are *not* caught here; the supervisor in
-/// [`run_variant`] isolates those.
+/// [`run_cell`] isolates those.
 pub fn run_replica(
     prepared: &PreparedTask,
     device: &Device,
@@ -426,7 +433,7 @@ pub fn run_replica_with(
 }
 
 /// Renders a caught panic payload for a `ReplicaStatus::Failed` reason.
-pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panic: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -436,143 +443,310 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one replica under supervision: panics are isolated with
-/// `catch_unwind`, and failed attempts (structured errors *or* panics) are
-/// retried up to `settings.retry_budget` extra times. Deterministic
-/// re-derivation of all seeds makes a successful retry bit-identical to a
-/// never-faulted run.
-fn supervise_replica(
-    prepared: &PreparedTask,
-    device: &Device,
+/// Where a cell's replica attempts run, and where their progress lives.
+///
+/// All three share one engine, [`run_cell`]: the same validation, store
+/// harvest, worker pool, retry loop, persistence and manifest. Only how
+/// one attempt runs differs, and a replica is a pure function of its
+/// index, so every executor produces bit-identical results.
+#[derive(Debug, Clone)]
+pub enum Executor {
+    /// Attempts run on in-process worker threads under `catch_unwind`;
+    /// nothing touches disk.
+    InMemory,
+    /// As [`Executor::InMemory`], with durable progress in a
+    /// [`CheckpointStore`] cell: completed replicas are harvested instead
+    /// of retrained, and in-flight replicas resume from their newest epoch
+    /// checkpoint.
+    Durable {
+        /// The store holding the cell directories.
+        store: CheckpointStore,
+        /// Checkpoint every N completed epochs (0 persists results only).
+        checkpoint_every_epochs: u32,
+    },
+    /// Every attempt runs in its own supervised worker process (see
+    /// [`crate::fleet`]), sharing store cells with [`Executor::Durable`].
+    /// Failed attempts back off before their retry.
+    Processes {
+        /// The store holding the cell directories.
+        store: CheckpointStore,
+        /// Checkpoint every N completed epochs (0 persists results only).
+        checkpoint_every_epochs: u32,
+        /// Worker pool size and executable.
+        fleet: FleetOptions,
+    },
+}
+
+/// How one attempt of a replica failed.
+#[derive(Debug)]
+pub(crate) enum Failure {
+    /// A training error, an in-process panic, or a worker's graceful
+    /// fault frame.
+    Faulted(String),
+    /// A worker process died abnormally.
+    Crashed(String),
+    /// A worker process was killed by the watchdog or the deadline.
+    TimedOut,
+}
+
+impl Failure {
+    /// The status of a replica whose last attempt failed like this.
+    fn exhausted(self, attempts: u32) -> ReplicaStatus {
+        match self {
+            Failure::Faulted(reason) => ReplicaStatus::Failed {
+                reason: format!("{attempts} attempts exhausted; last: {reason}"),
+            },
+            Failure::Crashed(reason) => ReplicaStatus::Crashed {
+                reason: format!("{attempts} attempts; last: {reason}"),
+            },
+            Failure::TimedOut => ReplicaStatus::TimedOut { attempts },
+        }
+    }
+}
+
+/// The outcome of one attempt.
+pub(crate) type Attempt = Result<ReplicaResult, Failure>;
+
+type Supervised = (Option<ReplicaResult>, ReplicaStatus);
+
+/// One cell's fixed context, shared by every worker of the pool.
+struct Cell<'a> {
+    prepared: &'a PreparedTask,
+    device: &'a Device,
     variant: NoiseVariant,
-    settings: &ExperimentSettings,
-    replica: u32,
-) -> (Option<ReplicaResult>, ReplicaStatus) {
-    let mut last_reason = String::new();
-    for attempt in 0..=settings.retry_budget {
+    settings: &'a ExperimentSettings,
+    /// The store cell directory; `None` for [`Executor::InMemory`].
+    dir: Option<PathBuf>,
+    checkpoint_every_epochs: u32,
+    /// Worker executable and arguments; `Some` for
+    /// [`Executor::Processes`].
+    worker: Option<(PathBuf, &'a [OsString])>,
+}
+
+impl Cell<'_> {
+    /// Runs one attempt in a worker process, or on this thread.
+    fn attempt(&self, replica: u32, attempt: u32) -> io::Result<Attempt> {
+        match (&self.dir, &self.worker) {
+            (Some(dir), Some((exe, args))) => {
+                let spec = ReplicaSpec {
+                    task: self.prepared.spec.clone(),
+                    device_name: self.device.name().to_string(),
+                    variant: self.variant,
+                    settings: *self.settings,
+                    replica,
+                    attempt,
+                    cell_dir: dir.clone(),
+                    checkpoint_every_epochs: self.checkpoint_every_epochs,
+                };
+                fleet::run_attempt(exe, args, &spec)
+            }
+            _ => self.attempt_in_thread(replica, attempt),
+        }
+    }
+
+    /// Runs one attempt under `catch_unwind`. With a store, the attempt
+    /// resumes from the replica's newest checkpoint and sinks fresh ones.
+    /// Checkpoints are only emitted at fault-free epoch boundaries, so one
+    /// left by a failed attempt is still a prefix of the clean trajectory.
+    fn attempt_in_thread(&self, replica: u32, attempt: u32) -> io::Result<Attempt> {
+        let ckpt = self.dir.as_deref().map(|d| resume::ckpt_path(d, replica));
+        let resume = self
+            .dir
+            .as_deref()
+            .and_then(|d| resume::resume_point(d, replica));
+        let mut sink_err: Option<io::Error> = None;
+        let mut sink = |c: &Checkpoint| {
+            if let (Some(path), true) = (&ckpt, sink_err.is_none()) {
+                sink_err = c.save(path).err();
+            }
+        };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_replica_with(
-                prepared,
-                device,
-                variant,
-                settings,
+                self.prepared,
+                self.device,
+                self.variant,
+                self.settings,
                 replica,
                 ReplicaOptions {
                     attempt,
+                    resume: resume.as_ref(),
+                    checkpoint_every_epochs: self.checkpoint_every_epochs,
+                    sink: Some(&mut sink),
                     ..ReplicaOptions::default()
                 },
             )
         }));
-        match outcome {
-            Ok(Ok(result)) => {
-                let status = if attempt == 0 {
-                    ReplicaStatus::Ok
-                } else {
-                    ReplicaStatus::Retried {
-                        attempts: attempt + 1,
-                    }
-                };
-                return (Some(result), status);
-            }
-            Ok(Err(err)) => last_reason = err.to_string(),
-            Err(payload) => last_reason = panic_reason(payload),
+        if let Some(e) = sink_err {
+            return Err(e);
         }
+        Ok(match outcome {
+            Ok(Ok(result)) => Ok(result),
+            Ok(Err(err)) => Err(Failure::Faulted(err.to_string())),
+            Err(payload) => Err(Failure::Faulted(panic_reason(payload))),
+        })
     }
-    let attempts = settings.retry_budget + 1;
-    (
-        None,
-        ReplicaStatus::Failed {
-            reason: format!("{attempts} attempts exhausted; last: {last_reason}"),
-        },
-    )
+
+    /// The retry loop: attempts until one succeeds or the budget is
+    /// spent, then persists the outcome. Every seed is re-derived from the
+    /// replica index, so a successful retry is bit-identical to a
+    /// never-faulted run.
+    fn supervise(&self, replica: u32) -> io::Result<Supervised> {
+        let mut attempt = 0;
+        let (result, status) = loop {
+            if attempt > 0 && self.worker.is_some() {
+                std::thread::sleep(Duration::from_millis(fleet::backoff_ms(attempt)));
+            }
+            match self.attempt(replica, attempt)? {
+                Ok(result) if attempt == 0 => break (Some(result), ReplicaStatus::Ok),
+                Ok(result) => {
+                    let attempts = attempt + 1;
+                    break (Some(result), ReplicaStatus::Retried { attempts });
+                }
+                Err(failure) if attempt == self.settings.retry_budget => {
+                    break (None, failure.exhausted(attempt + 1));
+                }
+                Err(_) => attempt += 1,
+            }
+        };
+        if let Some(dir) = &self.dir {
+            resume::persist(dir, replica, result.as_ref(), &status)?;
+        }
+        Ok((result, status))
+    }
 }
 
-/// Trains the whole replica fleet for a variant, parallelized over the
-/// host's cores (replicas are embarrassingly parallel).
+/// Trains every replica of one (task, device, variant) cell under
+/// supervision, in parallel, through `exec`.
 ///
-/// Each replica runs under supervision: a panic or structured training
-/// failure costs that replica a retry (up to `settings.retry_budget`),
-/// never the fleet. Replicas whose budget is exhausted are recorded as
-/// [`ReplicaStatus::Failed`] in [`VariantRuns::statuses`] and simply
-/// absent from `results` — partial fleets degrade into flagged reports
-/// instead of aborting the experiment.
+/// Replicas already completed in the executor's store are harvested.
+/// The rest are pulled from a shared counter by a pool of worker threads:
+/// one per core, or `fleet.procs` for [`Executor::Processes`], where each
+/// thread blocks on its own worker process. A failed attempt (training
+/// error, panic, crash, timeout) costs that replica a retry, up to
+/// `settings.retry_budget`, never the fleet. Replicas that exhaust the
+/// budget get a failed [`ReplicaStatus`] and no result, so partial fleets
+/// degrade into flagged reports instead of aborting the experiment.
+///
+/// # Errors
+///
+/// Settings that fail [`ExperimentSettings::validate_for`], store or
+/// spawn IO failures, and, for [`Executor::Processes`], a custom device
+/// or a non-UTF-8 store path.
+pub fn run_cell(
+    prepared: &PreparedTask,
+    device: &Device,
+    variant: NoiseVariant,
+    settings: &ExperimentSettings,
+    exec: &Executor,
+) -> io::Result<VariantRuns> {
+    settings
+        .validate_for(&prepared.spec)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let (store, checkpoint_every_epochs, fleet) = match exec {
+        Executor::InMemory => (None, 0, None),
+        Executor::Durable {
+            store,
+            checkpoint_every_epochs,
+        } => (Some(store), *checkpoint_every_epochs, None),
+        Executor::Processes {
+            store,
+            checkpoint_every_epochs,
+            fleet,
+        } => (Some(store), *checkpoint_every_epochs, Some(fleet)),
+    };
+    let dir = store.map(|s| s.cell_dir(&prepared.spec.name, device.name(), variant));
+    let worker = match (fleet, &dir) {
+        (Some(opts), Some(dir)) => Some((
+            fleet::worker_exe(device, dir, opts)?,
+            opts.worker_args.as_slice(),
+        )),
+        _ => None,
+    };
+    if let Some(dir) = &dir {
+        std::fs::create_dir_all(dir)?;
+    }
+    let cell = Cell {
+        prepared,
+        device,
+        variant,
+        settings,
+        dir,
+        checkpoint_every_epochs,
+        worker,
+    };
+
+    let n = settings.replicas;
+    let mut slots: Vec<Option<io::Result<Supervised>>> = (0..n)
+        .map(|r| {
+            let (result, status) = resume::harvest(cell.dir.as_deref()?, r)?;
+            Some(Ok((Some(result), status)))
+        })
+        .collect();
+    let pending: Vec<u32> = (0..n).filter(|&r| slots[r as usize].is_none()).collect();
+    let workers = match fleet {
+        Some(opts) if opts.procs > 0 => opts.procs,
+        _ => std::thread::available_parallelism().map_or(1, |p| p.get()),
+    }
+    .min(pending.len())
+    .max(1);
+    // Each worker returns its (index, outcome) pairs through the join
+    // handle and the outcomes are scattered by index, so results are in
+    // replica order no matter which worker trained what.
+    let next = AtomicUsize::new(0);
+    let supervised = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    while let Some(&r) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        local.push((r, cell.supervise(r)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("replica supervisor thread panicked"))
+            .collect::<Vec<_>>()
+    });
+    for (r, out) in supervised {
+        slots[r as usize] = Some(out);
+    }
+
+    let mut results = Vec::with_capacity(n as usize);
+    let mut statuses = Vec::with_capacity(n as usize);
+    for slot in slots {
+        let (result, status) = slot.expect("every replica is harvested or supervised")?;
+        results.extend(result);
+        statuses.push(status);
+    }
+    if let Some(dir) = &cell.dir {
+        resume::write_manifest(dir, &prepared.spec.name, device.name(), variant, &statuses)?;
+    }
+    Ok(VariantRuns {
+        variant,
+        results,
+        statuses,
+    })
+}
+
+/// [`run_cell`] on [`Executor::InMemory`].
 ///
 /// # Panics
 ///
 /// Panics up front (with the rendered
 /// [`crate::settings::SettingsError`]) if the settings or task fail
-/// [`ExperimentSettings::validate_for`] — the one entry point whose
-/// signature predates typed validation. The fallible entry points
-/// (`run_variant_resumable`, fleet dispatch, `repro` parsing) surface
-/// the same error as a `Result` instead.
+/// [`ExperimentSettings::validate_for`]: the one entry point whose
+/// signature predates typed validation.
 pub fn run_variant(
     prepared: &PreparedTask,
     device: &Device,
     variant: NoiseVariant,
     settings: &ExperimentSettings,
 ) -> VariantRuns {
-    if let Err(e) = settings.validate_for(&prepared.spec) {
-        panic!("invalid experiment configuration: {e}");
-    }
-    let n = settings.replicas;
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n as usize)
-        .max(1);
-    type Supervised = (Option<ReplicaResult>, ReplicaStatus);
-    let mut harvested: Vec<Option<Supervised>> = (0..n).map(|_| None).collect();
-    if workers <= 1 {
-        for r in 0..n {
-            harvested[r as usize] = Some(supervise_replica(prepared, device, variant, settings, r));
-        }
-    } else {
-        // Workers pull replica indices from a shared counter and return
-        // their (index, result) pairs through the join handle; the harvest
-        // scatters by index, so fleet results are in replica order no
-        // matter which worker trained what. Replica *contents* never depend
-        // on scheduling anyway — each replica derives its seeds and entropy
-        // from its index alone.
-        let next = std::sync::atomic::AtomicU32::new(0);
-        let collected = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(u32, Supervised)> = Vec::new();
-                        loop {
-                            let r = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if r >= n {
-                                return local;
-                            }
-                            local.push((
-                                r,
-                                supervise_replica(prepared, device, variant, settings, r),
-                            ));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("supervisor thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (r, out) in collected {
-            harvested[r as usize] = Some(out);
-        }
-    }
-    let mut results = Vec::with_capacity(n as usize);
-    let mut statuses = Vec::with_capacity(n as usize);
-    for cell in harvested {
-        let (result, status) = cell.expect("replica not supervised");
-        results.extend(result);
-        statuses.push(status);
-    }
-    VariantRuns {
-        variant,
-        results,
-        statuses,
-    }
+    run_cell(prepared, device, variant, settings, &Executor::InMemory)
+        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
 }
 
 #[cfg(test)]

@@ -226,8 +226,8 @@ impl ExperimentSettings {
     /// a retry budget with no room for the initial attempt, and fleet
     /// heartbeat/timeout knobs that can never prove worker liveness.
     ///
-    /// Called at every entry point (`run_variant`,
-    /// `run_variant_resumable`, fleet dispatch, and `repro` argument
+    /// Called at every entry point (the replica engine
+    /// `runner::run_cell`, the fleet worker, and `repro` argument
     /// parsing); task-dependent checks live in
     /// [`ExperimentSettings::validate_for`].
     pub fn validate(&self) -> Result<(), SettingsError> {

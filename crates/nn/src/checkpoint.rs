@@ -12,15 +12,15 @@
 //!
 //! The workspace's `serde_json` stand-in is not trusted to round-trip
 //! `f32` payloads bit-exactly (shortest-representation printing plus
-//! re-parse). Checkpoints therefore use a hand-rolled little-endian binary
-//! codec: every `f32` travels as its `to_bits()` pattern, so NaN payloads,
-//! signed zeros and subnormals all survive unchanged.
+//! re-parse). Checkpoints therefore use the little-endian binary codec of
+//! [`crate::codec`]: every `f32` travels as its `to_bits()` pattern, so
+//! NaN payloads, signed zeros and subnormals all survive unchanged.
 
+use crate::codec::{write_atomic, Dec, DecodeError, Enc};
 use detrand::{PhiloxSnapshot, StreamSnapshot};
 use hwsim::ExecSnapshot;
 use nstensor::ReducerSnapshot;
 use std::fmt;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Magic prefix of the checkpoint container ("NSCK").
@@ -67,6 +67,9 @@ pub enum CheckpointError {
     BadVersion(u32),
     /// Decoding succeeded but bytes were left over.
     TrailingBytes(usize),
+    /// A field held bytes the encoder never writes (e.g. a flag byte
+    /// other than 0 or 1).
+    Malformed(DecodeError),
 }
 
 impl fmt::Display for CheckpointError {
@@ -78,204 +81,111 @@ impl fmt::Display for CheckpointError {
             CheckpointError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after checkpoint")
             }
+            CheckpointError::Malformed(e) => write!(f, "malformed checkpoint: {e}"),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
 
-// --- encoder -------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    put_u32(out, v.to_bits());
-}
-
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_f32(out, x);
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => CheckpointError::Truncated,
+            DecodeError::TrailingBytes(n) => CheckpointError::TrailingBytes(n),
+            other => CheckpointError::Malformed(other),
+        }
     }
 }
 
-fn put_stream(out: &mut Vec<u8>, s: &StreamSnapshot) {
-    put_u32(out, s.state.key[0]);
-    put_u32(out, s.state.key[1]);
-    put_u64(out, s.state.counter_lo);
-    put_u64(out, s.state.counter_hi);
+fn put_stream(e: &mut Enc, s: &StreamSnapshot) {
+    e.u32(s.state.key[0]);
+    e.u32(s.state.key[1]);
+    e.u64(s.state.counter_lo);
+    e.u64(s.state.counter_hi);
     for b in s.state.buf {
-        put_u32(out, b);
+        e.u32(b);
     }
-    out.push(s.state.buf_pos);
-    match s.gauss_spare {
-        Some(v) => {
-            out.push(1);
-            put_f32(out, v);
-        }
-        None => out.push(0),
+    e.u8(s.state.buf_pos);
+    e.flag(s.gauss_spare.is_some());
+    if let Some(v) = s.gauss_spare {
+        e.f32(v);
     }
 }
 
-// --- decoder -------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(CheckpointError::Truncated)?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    /// Reads a length prefix, rejecting lengths the remaining buffer
-    /// cannot possibly hold (corrupt files must not trigger huge
-    /// allocations).
-    fn len(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n.saturating_mul(elem_size.max(1) as u64) > remaining {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(n as usize)
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
-        let n = self.len(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
-    }
-
-    fn stream(&mut self) -> Result<StreamSnapshot, CheckpointError> {
-        let key = [self.u32()?, self.u32()?];
-        let counter_lo = self.u64()?;
-        let counter_hi = self.u64()?;
-        let buf = [self.u32()?, self.u32()?, self.u32()?, self.u32()?];
-        let buf_pos = self.u8()?;
-        let gauss_spare = match self.u8()? {
-            0 => None,
-            _ => Some(self.f32()?),
-        };
-        Ok(StreamSnapshot {
-            state: PhiloxSnapshot {
-                key,
-                counter_lo,
-                counter_hi,
-                buf,
-                buf_pos,
-            },
-            gauss_spare,
-        })
-    }
+fn get_stream(d: &mut Dec<'_>) -> Result<StreamSnapshot, DecodeError> {
+    Ok(StreamSnapshot {
+        state: PhiloxSnapshot {
+            key: [d.u32()?, d.u32()?],
+            counter_lo: d.u64()?,
+            counter_hi: d.u64()?,
+            buf: [d.u32()?, d.u32()?, d.u32()?, d.u32()?],
+            buf_pos: d.u8()?,
+        },
+        gauss_spare: if d.flag()? { Some(d.f32()?) } else { None },
+    })
 }
 
 impl Checkpoint {
     /// Serializes to the versioned binary container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 4 * (self.weights.len() + self.order.len()));
-        put_u32(&mut out, MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u32(&mut out, self.epochs_done);
-        put_u64(&mut out, self.steps);
-        put_f32s(&mut out, &self.epoch_losses);
-        put_f32s(&mut out, &self.weights);
-        put_u64(&mut out, self.velocity.len() as u64);
+        let mut e = Enc::with_capacity(64 + 4 * (self.weights.len() + self.order.len()));
+        e.u32(MAGIC);
+        e.u32(VERSION);
+        e.u32(self.epochs_done);
+        e.u64(self.steps);
+        e.f32s(&self.epoch_losses);
+        e.f32s(&self.weights);
+        e.size(self.velocity.len());
         for v in &self.velocity {
-            put_f32s(&mut out, v);
+            e.f32s(v);
         }
-        put_stream(&mut out, &self.shuffle_rng);
-        put_stream(&mut out, &self.augment_rng);
-        put_u64(&mut out, self.exec.reducers.len() as u64);
+        put_stream(&mut e, &self.shuffle_rng);
+        put_stream(&mut e, &self.augment_rng);
+        e.size(self.exec.reducers.len());
         for r in &self.exec.reducers {
-            put_u64(&mut out, r.sched_state);
-            put_u64(&mut out, r.invocations);
+            e.u64(r.sched_state);
+            e.u64(r.invocations);
         }
-        put_u64(&mut out, self.order.len() as u64);
-        for &i in &self.order {
-            put_u32(&mut out, i);
-        }
-        out
+        e.u32s(&self.order);
+        e.into_bytes()
     }
 
     /// Decodes a checkpoint previously produced by [`Checkpoint::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] on truncation, wrong magic/version, or
-    /// trailing garbage. Never panics on malformed input.
+    /// Returns a [`CheckpointError`] on truncation, wrong magic/version, a
+    /// malformed field, or trailing garbage. Never panics on malformed
+    /// input, and whatever decodes re-encodes to exactly `bytes`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.u32()? != MAGIC {
+        let mut d = Dec::new(bytes);
+        if d.u32()? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let version = r.u32()?;
+        let version = d.u32()?;
         if version != VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
-        let epochs_done = r.u32()?;
-        let steps = r.u64()?;
-        let epoch_losses = r.f32s()?;
-        let weights = r.f32s()?;
-        let n_vel = r.len(8)?;
-        let mut velocity = Vec::with_capacity(n_vel);
-        for _ in 0..n_vel {
-            velocity.push(r.f32s()?);
-        }
-        let shuffle_rng = r.stream()?;
-        let augment_rng = r.stream()?;
-        let n_red = r.len(16)?;
-        let mut reducers = Vec::with_capacity(n_red);
-        for _ in 0..n_red {
-            reducers.push(ReducerSnapshot {
-                sched_state: r.u64()?,
-                invocations: r.u64()?,
-            });
-        }
-        let n_order = r.len(4)?;
-        let mut order = Vec::with_capacity(n_order);
-        for _ in 0..n_order {
-            order.push(r.u32()?);
-        }
-        if r.pos != bytes.len() {
-            return Err(CheckpointError::TrailingBytes(bytes.len() - r.pos));
-        }
+        let epochs_done = d.u32()?;
+        let steps = d.u64()?;
+        let epoch_losses = d.f32s()?;
+        let weights = d.f32s()?;
+        let n_vel = d.len(8)?;
+        let velocity = (0..n_vel).map(|_| d.f32s()).collect::<Result<_, _>>()?;
+        let shuffle_rng = get_stream(&mut d)?;
+        let augment_rng = get_stream(&mut d)?;
+        let n_red = d.len(16)?;
+        let reducers = (0..n_red)
+            .map(|_| {
+                Ok(ReducerSnapshot {
+                    sched_state: d.u64()?,
+                    invocations: d.u64()?,
+                })
+            })
+            .collect::<Result<_, DecodeError>>()?;
+        let order = d.u32s()?;
+        d.finish()?;
         Ok(Self {
             epochs_done,
             steps,
@@ -296,13 +206,7 @@ impl Checkpoint {
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        write_atomic(path, &self.to_bytes())
     }
 
     /// Loads a checkpoint written by [`Checkpoint::save`].
@@ -321,7 +225,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detrand::{Philox, StreamId};
+    use detrand::{Philox, SplitMix64, StreamId};
 
     fn sample() -> Checkpoint {
         let mut s = Philox::from_seed(7).stream(StreamId::SHUFFLE);
@@ -386,6 +290,32 @@ mod tests {
         );
         // A corrupt length prefix must not allocate terabytes.
         assert!(Checkpoint::from_bytes(&bytes[..16]).is_err());
+    }
+
+    /// Every truncation of a valid checkpoint, and every single-byte
+    /// overwrite from a fixed SplitMix64 sequence, either fails to decode
+    /// or decodes to a checkpoint that re-encodes to exactly those bytes.
+    #[test]
+    fn mangled_bytes_never_decode_to_a_different_encoding() {
+        let bytes = sample().to_bytes();
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut cases: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+        for i in 0..bytes.len() {
+            for _ in 0..4 {
+                let mut m = bytes.clone();
+                m[i] = rng.next_u64() as u8;
+                cases.push(m);
+            }
+        }
+        for m in cases {
+            if let Ok(ck) = Checkpoint::from_bytes(&m) {
+                assert_eq!(
+                    ck.to_bytes(),
+                    m,
+                    "a mangled checkpoint decoded to a different encoding"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   CNN), compiled to [`hwsim::WorkloadOp`] lists for the determinism
 //!   cost study;
 //! - [`trainer`] — the training loop wiring data order, dropout streams,
-//!   the optimizer and the execution context together.
+//!   the optimizer and the execution context together;
+//! - [`checkpoint`] / [`codec`] — byte-exact training snapshots over the
+//!   little-endian binary codec every persisted or piped format shares.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@
 
 pub mod arch;
 pub mod checkpoint;
+pub mod codec;
 pub mod init;
 pub mod layers;
 pub mod loss;
