@@ -1,16 +1,19 @@
-//! The committed hot-path suite behind `BENCH_2.json`: GEMM, conv forward,
-//! conv backward, one training step, and a whole replica fleet.
+//! The committed hot-path suite behind the `BENCH_*.json` files: GEMM,
+//! conv forward, conv backward, one training step, and a whole replica
+//! fleet. Conv forward and the training steps are measured under the
+//! Permuted order (V100 Default mode) as well as the RNG-free orders,
+//! since most grid cells run there.
 //!
 //! Benchmark names are stable identifiers — `scripts/bench_compare.sh`
 //! parses them out of `cargo bench` output and compares against the
-//! committed `BENCH_2.json`, so renaming one is a breaking change for the
-//! regression gate.
+//! newest committed `BENCH_*.json` that carries `post_pr_ns` figures, so
+//! renaming one is a breaking change for the regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use detrand::Philox;
 use hwsim::{Device, ExecutionContext, ExecutionMode};
 use nnet::loss::softmax_cross_entropy;
-use nnet::zoo;
+use nnet::{zoo, Network};
 use noisescope::prelude::*;
 use nsdata::GaussianSpec;
 use nstensor::{
@@ -67,9 +70,10 @@ fn bench_conv(c: &mut Criterion) {
     for (name, order) in [
         ("sequential", ReduceOrder::Sequential),
         ("fixed_tree", ReduceOrder::FixedTree),
+        ("permuted", ReduceOrder::Permuted),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &order, |bch, &order| {
-            let mut red = Reducer::new(order, 40, 7);
+            let mut red = Reducer::new(order, 40, 7).with_amplification(512.0);
             let mut ws = Workspace::new();
             bch.iter(|| {
                 std::hint::black_box(
@@ -101,18 +105,53 @@ fn bench_train_step(c: &mut Criterion) {
     let root = Philox::from_seed(7);
     let mut group = c.benchmark_group("train_step");
     group.sample_size(10);
-    for (name, device, mode) in [
-        ("small_cnn/cpu", Device::cpu(), ExecutionMode::Default),
+    let small_cnn: fn(&Philox) -> Network = |root| zoo::small_cnn(12, 3, 10, false, root);
+    let micro_resnet18: fn(&Philox) -> Network = |root| zoo::micro_resnet18(8, 3, 10, root);
+    for (name, build, hw, device, mode) in [
+        (
+            "small_cnn/cpu",
+            small_cnn,
+            12,
+            Device::cpu(),
+            ExecutionMode::Default,
+        ),
         (
             "small_cnn/v100_det",
+            small_cnn,
+            12,
             Device::v100(),
             ExecutionMode::Deterministic,
         ),
+        (
+            "small_cnn/v100_default",
+            small_cnn,
+            12,
+            Device::v100(),
+            ExecutionMode::Default,
+        ),
+        (
+            "micro_resnet18/v100_det",
+            micro_resnet18,
+            8,
+            Device::v100(),
+            ExecutionMode::Deterministic,
+        ),
+        (
+            "micro_resnet18/v100_default",
+            micro_resnet18,
+            8,
+            Device::v100(),
+            ExecutionMode::Default,
+        ),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &mode, |bch, &mode| {
-            let mut net = zoo::small_cnn(12, 3, 10, false, &root);
-            let mut exec = ExecutionContext::new(device, mode, 3);
-            let x = filled(Shape::of(&[16, 3, 12, 12]), 11);
+            let mut net = build(&root);
+            let mut exec = ExecutionContext::builder(device)
+                .mode(mode)
+                .entropy(3)
+                .amp_ulps(512.0)
+                .build();
+            let x = filled(Shape::of(&[16, 3, hw, hw]), 11);
             let labels: Vec<u32> = (0..16).map(|i| (i % 10) as u32).collect();
             let mut step = 0u64;
             bch.iter(|| {

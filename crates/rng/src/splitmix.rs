@@ -1,12 +1,20 @@
 //! SplitMix64: a tiny, fast generator used for seed expansion and for the
 //! *scheduler* entropy stream in the hardware simulator.
 //!
-//! SplitMix64 is sequential (unlike [`crate::Philox`]) but has excellent
-//! avalanche behaviour, which makes it the right tool where we explicitly
-//! *want* an unreplayable-looking walk from a seed: the simulated GPU
-//! scheduler's interleaving decisions.
+//! SplitMix64 has excellent avalanche behaviour, which makes it the right
+//! tool where we explicitly *want* an unreplayable-looking walk from a
+//! seed: the simulated GPU scheduler's interleaving decisions.
+//!
+//! Its state is a Weyl sequence — every draw adds the constant `GAMMA`
+//! and then mixes — so, like [`crate::Philox`], it allows random access:
+//! draw *k* after state `s0` is `mix(s0 + (k + 1)·GAMMA)`, and
+//! [`SplitMix64::advance`] skips any number of draws in O(1).
 
 use serde::{Deserialize, Serialize};
+
+/// The Weyl increment added to the state before every draw (the odd
+/// integer closest to 2⁶⁴/φ).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A SplitMix64 generator.
 ///
@@ -41,11 +49,29 @@ impl SplitMix64 {
     /// Returns the next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skips `n` draws in O(1): afterwards the generator is exactly where
+    /// `n` calls to [`SplitMix64::next_u64`] would have left it.
+    ///
+    /// ```
+    /// use detrand::SplitMix64;
+    /// let mut stepped = SplitMix64::new(9);
+    /// for _ in 0..5 {
+    ///     stepped.next_u64();
+    /// }
+    /// let mut jumped = SplitMix64::new(9);
+    /// jumped.advance(5);
+    /// assert_eq!(jumped, stepped);
+    /// ```
+    #[inline]
+    pub fn advance(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Returns the next 32 random bits.
@@ -118,6 +144,47 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(g.next_u64(), resumed.next_u64());
         }
+    }
+
+    #[test]
+    fn advance_equals_repeated_next() {
+        for seed in [0, 1234, u64::MAX - 3] {
+            for n in [0u64, 1, 7, 10_000] {
+                let mut stepped = SplitMix64::new(seed);
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                let mut jumped = SplitMix64::new(seed);
+                jumped.advance(n);
+                assert_eq!(jumped, stepped, "seed {seed}, n {n}");
+                assert_eq!(jumped.next_u64(), stepped.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn advance_wraps_around_u64() {
+        // The first draw from this seed carries the state past 2⁶⁴; jumps
+        // across the wrap must match stepping across it.
+        let seed = u64::MAX - 5;
+        let mut stepped = SplitMix64::new(seed);
+        for n in 1..=5u64 {
+            stepped.next_u64();
+            let mut jumped = SplitMix64::new(seed);
+            jumped.advance(n);
+            assert_eq!(jumped, stepped, "n {n}");
+        }
+        let mut once = SplitMix64::new(seed);
+        once.next_u64();
+        assert!(once.state() < seed, "state must have wrapped");
+        // advance(a) then advance(b) equals advance(a + b), even when the
+        // product n·GAMMA overflows.
+        let mut split = SplitMix64::new(seed);
+        split.advance(u64::MAX / 3);
+        split.advance(u64::MAX / 3 + 11);
+        let mut whole = SplitMix64::new(seed);
+        whole.advance(2 * (u64::MAX / 3) + 11);
+        assert_eq!(split, whole);
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //! Both passes run on the blocked GEMM engine ([`crate::gemm`]) and are
 //! bit-identical to the original per-element loops: the engine only
 //! reorders *which outputs* are computed when, never the k-dimension
-//! combine order inside one output, and all scheduler RNG is pre-drawn in
-//! reference order via [`Reducer::plan_dots`]. The `_ws` variants reuse
-//! caller-provided [`Workspace`] scratch (im2col columns, packed panels,
-//! transposes) across calls; the plain variants allocate privately.
+//! combine order inside one output. Each output's scheduler draws are
+//! located by its position in the reference call order
+//! ([`Reducer::plan_dots`]), so the forward pass batches all samples into
+//! one GEMM under every order, Permuted included. The `_ws` variants
+//! reuse caller-provided [`Workspace`] scratch (im2col columns, packed
+//! panels, transposes) across calls; the plain variants allocate
+//! privately.
 
 use crate::error::ShapeError;
 use crate::gemm::gemm_packed_planned;
 use crate::pack::{pack_b_panels, NR};
-use crate::reduce::{DotPlan, ReduceOrder, Reducer};
+use crate::reduce::{DotPlan, Reducer};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -301,11 +304,12 @@ pub fn conv2d_forward(
 /// Forward 2-D convolution on the blocked engine, reusing `ws` scratch
 /// and running output row bands on up to `threads` threads.
 ///
-/// Bit-identical to [`conv2d_forward`] for every reducer configuration
-/// and thread count: per sample, the output `[out_c, pixels]` block is
-/// one GEMM whose row-major output order matches the reference
-/// channel-major `(o, p)` loop, so [`Reducer::plan_dots`] consumes the
-/// scheduler RNG in exactly the reference order.
+/// Bit-identical, for every reducer configuration and thread count, to
+/// the per-element definition: per sample, im2col, then one
+/// [`Reducer::dot`] per output plus the bias, in `(sample, out channel,
+/// pixel)` order. The whole batch is one GEMM; the plan locates each
+/// output's scheduler draws by that order, so the reducer ends in exactly
+/// the state the per-element loop leaves.
 ///
 /// # Errors
 ///
@@ -328,53 +332,32 @@ pub fn conv2d_forward_ws(
     let wv = weights.as_slice();
     let bv = bias.as_slice();
     let ov = out.as_mut_slice();
-    let sample = geom.in_c * geom.in_h * geom.in_w;
-    if red.order() == ReduceOrder::Permuted {
-        // The reference draws each sample's permutation specs before the
-        // next sample's, so Permuted keeps one plan (and one GEMM) per
-        // sample.
-        let mut packed = ws.take_scratch(pixels.div_ceil(NR) * pl * NR);
-        for s in 0..n {
-            im2col_packed(&xin[s * sample..(s + 1) * sample], geom, 1, &mut packed);
-            let plan = red.plan_dots(oc * pixels, pl);
-            let oblock = &mut ov[s * oc * pixels..(s + 1) * oc * pixels];
-            gemm_packed_planned(wv, &packed, oc, pixels, pl, &plan, threads, oblock);
-            // Bias after the dot: `dot + b` exactly as the reference
-            // computes.
-            for o in 0..oc {
-                let b = bv[o];
-                for v in &mut oblock[o * pixels..(o + 1) * pixels] {
-                    *v += b;
-                }
+    // One batch-wide GEMM over n·pixels output columns. Each output's
+    // chain is that of the per-sample `[out_c, pixels]` GEMM the reference
+    // runs; only the order in which outputs are computed changes. Under
+    // Permuted the reference draws sample `s`'s specs before sample
+    // `s + 1`'s, so output `(o, s·pixels + p)` combines under spec
+    // `s·oc·pixels + o·pixels + p`: column groups of `pixels`.
+    let np = n * pixels;
+    let mut packed = ws.take_scratch(np.div_ceil(NR) * pl * NR);
+    im2col_packed(xin, geom, n, &mut packed);
+    let plan = red.plan_dots(oc * np, pl).with_column_groups(pixels);
+    let mut out_r = ws.take_scratch(oc * np);
+    gemm_packed_planned(wv, &packed, oc, np, pl, &plan, threads, &mut out_r);
+    // Scatter [oc, n·pixels] back to [n, oc, pixels], adding the bias
+    // after the dot exactly as the reference computes.
+    for s in 0..n {
+        for o in 0..oc {
+            let b = bv[o];
+            let src = &out_r[o * np + s * pixels..o * np + (s + 1) * pixels];
+            let dst = &mut ov[(s * oc + o) * pixels..(s * oc + o + 1) * pixels];
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = v + b;
             }
         }
-        ws.recycle(packed);
-    } else {
-        // Sequential and FixedTree dots never consult the scheduler RNG,
-        // so every per-sample GEMM can fuse into one batch-wide GEMM over
-        // n·pixels output columns — each output's chain is unchanged, the
-        // outputs are merely computed in a different order.
-        let np = n * pixels;
-        let mut packed = ws.take_scratch(np.div_ceil(NR) * pl * NR);
-        im2col_packed(xin, geom, n, &mut packed);
-        let plan = red.plan_dots(oc * np, pl);
-        let mut out_r = ws.take_scratch(oc * np);
-        gemm_packed_planned(wv, &packed, oc, np, pl, &plan, threads, &mut out_r);
-        // Scatter [oc, n·pixels] back to [n, oc, pixels], adding the bias
-        // after the dot exactly as the reference computes.
-        for s in 0..n {
-            for o in 0..oc {
-                let b = bv[o];
-                let src = &out_r[o * np + s * pixels..o * np + (s + 1) * pixels];
-                let dst = &mut ov[(s * oc + o) * pixels..(s * oc + o + 1) * pixels];
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d = v + b;
-                }
-            }
-        }
-        ws.recycle(out_r);
-        ws.recycle(packed);
     }
+    ws.recycle(out_r);
+    ws.recycle(packed);
     Ok(out)
 }
 
@@ -581,6 +564,110 @@ fn validate(
 mod tests {
     use super::*;
     use crate::reduce::ReduceOrder;
+    use proptest::prelude::*;
+
+    /// Per-element oracle for [`conv2d_forward_ws`]: each sample is
+    /// lowered with `im2col`, then every output is one [`Reducer::dot`] of
+    /// a weight row with a patch, plus the bias, in `(sample, out channel,
+    /// pixel)` order — the call order whose scheduler draws the batched
+    /// engine must reproduce.
+    fn oracle_forward(
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        g: &ConvGeometry,
+        red: &mut Reducer,
+    ) -> Vec<f32> {
+        let n = x.shape().dim(0);
+        let (pl, pixels) = (g.patch_len(), g.out_pixels());
+        let sample = g.in_c * g.in_h * g.in_w;
+        let (xv, wv, bv) = (x.as_slice(), w.as_slice(), b.as_slice());
+        let mut col = vec![0f32; pixels * pl];
+        let mut out = Vec::with_capacity(n * g.out_c * pixels);
+        for s in 0..n {
+            im2col(&xv[s * sample..(s + 1) * sample], g, &mut col);
+            for o in 0..g.out_c {
+                let wrow = &wv[o * pl..(o + 1) * pl];
+                for p in 0..pixels {
+                    out.push(red.dot(wrow, &col[p * pl..(p + 1) * pl]) + bv[o]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Deterministic fill in `[-0.5, 0.5)` with some exact zeros of both
+    /// signs mixed in.
+    fn noise(len: usize, seed: u64) -> Vec<f32> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|i| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match i % 11 {
+                    3 => 0.0,
+                    7 => -0.0,
+                    _ => ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The batched engine is bit-identical to the per-element oracle
+        /// for every order, lane count, amplification and thread count,
+        /// and leaves the reducer exactly where the oracle leaves it.
+        #[test]
+        fn forward_matches_per_element_oracle(
+            (in_c, out_c, k) in (1usize..4, 1usize..6, 1usize..4),
+            (stride, pad, n) in (1usize..3, 0usize..3, 1usize..4),
+            (in_h, in_w) in (2usize..9, 2usize..9),
+            seed in any::<u64>(),
+        ) {
+            prop_assume!(in_h + 2 * pad >= k && in_w + 2 * pad >= k);
+            let g = ConvGeometry::new(in_c, out_c, k, stride, pad, in_h, in_w);
+            let x = Tensor::from_vec(
+                Shape::of(&[n, in_c, in_h, in_w]),
+                noise(n * in_c * in_h * in_w, seed),
+            )
+            .unwrap();
+            let w = Tensor::from_vec(
+                Shape::of(&[out_c, g.patch_len()]),
+                noise(out_c * g.patch_len(), seed ^ 0xA5A5),
+            )
+            .unwrap();
+            let b = Tensor::from_vec(Shape::of(&[out_c]), noise(out_c, seed ^ 0x5A5A)).unwrap();
+            let probe = noise(g.patch_len(), seed ^ 0xFFFF);
+            let mut ws = Workspace::new();
+            for order in [ReduceOrder::Sequential, ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+                for lanes in [1, 3, 27, 64] {
+                    for amp in [0.0, 512.0] {
+                        let base = Reducer::new(order, lanes, seed.rotate_left(17))
+                            .with_amplification(amp);
+                        let mut ref_red = base.clone();
+                        let expected = oracle_forward(&x, &w, &b, &g, &mut ref_red);
+                        for threads in [1, 3] {
+                            let what = format!("{order:?} lanes={lanes} amp={amp} t={threads} {g:?}");
+                            let mut red = base.clone();
+                            let y = conv2d_forward_ws(&x, &w, &b, &g, &mut red, threads, &mut ws)
+                                .unwrap();
+                            prop_assert!(y.as_slice().len() == expected.len(), "{what}: length");
+                            for (idx, (a, e)) in y.as_slice().iter().zip(&expected).enumerate() {
+                                prop_assert!(a.to_bits() == e.to_bits(), "{what}: element {idx}: {a} vs {e}");
+                            }
+                            prop_assert!(red.snapshot() == ref_red.snapshot(), "{what}: reducer state");
+                            let next = red.dot(&probe, &probe).to_bits();
+                            let ref_next = ref_red.clone().dot(&probe, &probe).to_bits();
+                            prop_assert!(next == ref_next, "{what}: next draw");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// Direct (quadruple-loop) reference convolution in f64.
     fn reference_conv(x: &Tensor, w: &Tensor, b: &Tensor, g: &ConvGeometry) -> Vec<f64> {

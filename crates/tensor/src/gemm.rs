@@ -25,11 +25,16 @@
 //!
 //! The remaining subtlety is the scheduler RNG: the reference path draws
 //! permutations interleaved with compute, one output at a time in
-//! row-major order. [`Reducer::plan_dots`] pre-draws all of them in that
-//! exact order into a [`DotPlan`] *before* the engine runs, so tiles and
-//! threads are free to race over outputs while the reducer ends the GEMM
-//! in precisely the state `m·n` sequential `dot` calls would have left
-//! it. That makes the engine bit-invariant in the thread count by
+//! reference call order. The scheduler generator is a Weyl sequence, so
+//! the draws of the *i*-th output start at a fixed offset from the
+//! batch's starting state. [`Reducer::plan_dots`] records that state in a
+//! [`DotPlan`] and jumps the reducer past the whole batch in O(1); the
+//! Permuted kernel then derives each output's spec from its index, tile
+//! by tile, and combines a tile's outputs together in a skewed-window walk
+//! that keeps every output's rotated order (see `band_permuted`). Tiles
+//! and threads are free to race over outputs while the reducer ends the
+//! GEMM in precisely the state `m·n` sequential `dot` calls would have
+//! left it. That makes the engine bit-invariant in the thread count by
 //! construction.
 //!
 //! [`ReduceOrder`]: crate::reduce::ReduceOrder
@@ -38,7 +43,7 @@
 
 use crate::error::ShapeError;
 use crate::pack::{pack_b_panels, pack_bt_panels, transpose_into, MR, NR};
-use crate::reduce::{DotPlan, ReduceOrder, Reducer, MAX_LANES};
+use crate::reduce::{DotPlan, PermuteSpecs, ReduceOrder, Reducer, MAX_LANES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -212,34 +217,71 @@ pub(crate) fn gemm_packed_planned(
     assert_eq!(packed.len(), n.div_ceil(NR) * k * NR, "gemm packed size");
     assert_eq!(out.len(), m * n, "gemm out size");
     if plan.order == ReduceOrder::Permuted {
-        assert_eq!(plan.specs.len(), m * n, "plan drawn for a different GEMM");
+        assert_eq!(plan.count, m * n, "plan drawn for a different GEMM");
     }
     if m == 0 || n == 0 {
         return;
     }
+    let order = SpecOrder::new(plan, m, n);
 
     let threads_eff = threads.max(1).min(m);
     if threads_eff == 1 {
-        run_band(a, packed, plan, n, k, 0, out);
+        run_band(a, packed, plan, order, n, k, 0, out);
     } else {
         let band_rows = m.div_ceil(threads_eff);
         std::thread::scope(|scope| {
             for (band_idx, band) in out.chunks_mut(band_rows * n).enumerate() {
                 let row0 = band_idx * band_rows;
                 scope.spawn(move || {
-                    run_band(a, packed, plan, n, k, row0, band);
+                    run_band(a, packed, plan, order, n, k, row0, band);
                 });
             }
         });
     }
 }
 
+/// Where output `(i, j)` of an `m × n` GEMM sits in the reference call
+/// order, i.e. which of the plan's specs it combines under:
+/// `(j / group)·m·group + i·group + j % group`. With whole-row groups
+/// (`group == n`) this is the row-major index `i·n + j`; see
+/// [`DotPlan::with_column_groups`] for narrower groups.
+#[derive(Debug, Clone, Copy)]
+struct SpecOrder {
+    group: usize,
+    /// `m · group`: the spec distance between consecutive column groups.
+    group_stride: usize,
+}
+
+impl SpecOrder {
+    fn new(plan: &DotPlan, m: usize, n: usize) -> Self {
+        let group = plan.column_group(n);
+        SpecOrder {
+            group,
+            group_stride: m * group,
+        }
+    }
+
+    /// The row-independent part of column `j`'s spec index.
+    #[inline]
+    fn column(&self, j: usize) -> usize {
+        (j / self.group) * self.group_stride + j % self.group
+    }
+
+    /// The spec index of output `(i, j)`.
+    #[inline]
+    fn index(&self, i: usize, j: usize) -> usize {
+        self.column(j) + i * self.group
+    }
+}
+
 /// Computes one contiguous row band `[row0 .. row0 + band.len() / n)` of
 /// the output.
+#[allow(clippy::too_many_arguments)]
 fn run_band(
     a: &[f32],
     packed: &[f32],
     plan: &DotPlan,
+    order: SpecOrder,
     n: usize,
     k: usize,
     row0: usize,
@@ -259,13 +301,15 @@ fn run_band(
         ReduceOrder::Permuted if plan.lanes == 1 => {
             band_sequential(a, packed, n, k, row0, rows, band);
             if plan.amplified {
-                for (i, o) in band.iter_mut().enumerate() {
-                    *o *= plan.specs[row0 * n + i].scale;
+                for (i, orow) in band.chunks_mut(n).enumerate() {
+                    for (j, o) in orow.iter_mut().enumerate() {
+                        *o *= plan.specs(&[order.index(row0 + i, j)]).scale[0];
+                    }
                 }
             }
         }
         ReduceOrder::FixedTree => band_fixed_tree(a, packed, plan.lanes, n, k, row0, rows, band),
-        ReduceOrder::Permuted => band_permuted(a, packed, plan, n, k, row0, rows, band),
+        ReduceOrder::Permuted => band_permuted(a, packed, plan, order, n, k, row0, rows, band),
     }
 }
 
@@ -417,17 +461,30 @@ fn band_fixed_tree(
     }
 }
 
-/// [`ReduceOrder::Permuted`] micro-kernel: lane partials are computed in
-/// registers (one store per lane, never load-modify-store), then each
-/// output column combines its lane column under the pre-drawn
-/// [`PermuteSpec`](crate::reduce::PermuteSpec) for that output — the two
-/// transpositions, the rotated left-to-right sum, and (when the plan is
-/// amplified) the scheduler-drawn scale.
+/// [`ReduceOrder::Permuted`] micro-kernel. Lane partials are computed in
+/// registers exactly as for [`ReduceOrder::FixedTree`] and stored once
+/// into a lane-major `[lane][MR·NR]` block per tile. Each output then
+/// combines its column of that block under its own spec, drawn on the
+/// spot from the output's spec index ([`DotPlan::specs`]), as a *skewed
+/// window*:
+///
+/// 1. the two transpositions are applied inside the column;
+/// 2. one walk over lane rows `x = 0..2l−1` (lane `x mod l`) lets output
+///    `q` accumulate only while `rot_q ≤ x < rot_q + l`, so its chain
+///    reads lanes `rot_q, …, l−1, 0, …, rot_q−1` — the reference's exact
+///    rotated order — while all `MR·NR` chains of the tile advance as
+///    vectors;
+/// 3. the amplified scale multiplies the finished sum.
+///
+/// Outside its window an output keeps its running sum through a bitwise
+/// select rather than by adding `0.0`, which is not the identity on
+/// `-0.0`; see [`add_where`].
 #[allow(clippy::too_many_arguments)]
 fn band_permuted(
     a: &[f32],
     packed: &[f32],
     plan: &DotPlan,
+    order: SpecOrder,
     n: usize,
     k: usize,
     row0: usize,
@@ -436,54 +493,100 @@ fn band_permuted(
 ) {
     let l = plan.lanes;
     let panels = n.div_ceil(NR);
-    // `MR × l × NR` lane partials (row-major, lane-major within a row) —
-    // ≤ 8 KiB, L1-resident. Written exactly once per tile, so no zeroing.
-    let mut lanebuf = vec![0f32; MR * l * NR];
+    // Lane partials of one tile, lane-major: `lanebuf[lane][r * NR + j]`.
+    // Lanes `l..` are never read. The first `rm` rows of lanes `..l` are
+    // written once per tile before they are read; the remaining rows hold
+    // stale values whose sums are discarded, so no re-zeroing.
+    let mut lanebuf = [[0f32; TILE]; MAX_LANES];
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
         let cols = NR.min(n - col0);
+        // Spec indices of this panel's columns, minus the row term.
+        // Columns past `n` get specs too (the counter has no end); their
+        // outputs are discarded.
+        let col_spec: [usize; NR] = core::array::from_fn(|j| order.column(col0 + j));
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
-            {
-                let lanebuf = &mut lanebuf;
-                for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
-                    lanebuf[(r * l + dl) * NR..(r * l + dl) * NR + NR].copy_from_slice(partial);
-                });
+            for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
+                lanebuf[dl][r * NR..(r + 1) * NR].copy_from_slice(partial);
+            });
+            // Each output's spec, drawn from its spec index. Rows past
+            // `rm` repeat the last real row and are discarded.
+            let idx: [usize; TILE] = core::array::from_fn(|q| {
+                let row = row0 + i + (q / NR).min(rm - 1);
+                col_spec[q % NR] + row * order.group
+            });
+            let PermuteSpecs { j1, j2, rot, scale } = plan.specs(&idx);
+            // Its two transpositions, in place.
+            for q in 0..TILE {
+                let (a1, a2) = (j1[q] as usize, j2[q] as usize);
+                let v = lanebuf[0][q];
+                lanebuf[0][q] = lanebuf[a1][q];
+                lanebuf[a1][q] = v;
+                let v = lanebuf[1][q];
+                lanebuf[1][q] = lanebuf[a2][q];
+                lanebuf[a2][q] = v;
             }
+            let sums = skewed_sums(&lanebuf[..l], &rot);
             for r in 0..rm {
-                let lanes_r = &lanebuf[r * l * NR..(r + 1) * l * NR];
                 let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols];
                 for (j, o) in orow.iter_mut().enumerate() {
-                    let spec = &plan.specs[(row0 + i + r) * n + col0 + j];
-                    let mut tmp = [0f32; MAX_LANES];
-                    for lane in 0..l {
-                        tmp[lane] = lanes_r[lane * NR + j];
-                    }
-                    let part = &mut tmp[..l];
-                    part.swap(0, spec.j1 as usize);
-                    part.swap(1.min(l - 1), spec.j2 as usize);
-                    // Rotated read order (rot, …, l-1, 0, …, rot-1)
-                    // without a per-element modulo.
-                    let rot = spec.rot as usize;
-                    let mut s = 0f32;
-                    for &v in &part[rot..] {
-                        s += v;
-                    }
-                    for &v in &part[..rot] {
-                        s += v;
-                    }
-                    if plan.amplified {
-                        s *= spec.scale;
-                    }
-                    *o = s;
+                    let q = r * NR + j;
+                    *o = if plan.amplified {
+                        sums[q] * scale[q]
+                    } else {
+                        sums[q]
+                    };
                 }
             }
             i += rm;
         }
     }
+}
+
+/// Outputs of one `MR × NR` register tile.
+const TILE: usize = MR * NR;
+
+/// The skewed-window walk of [`band_permuted`] over `l = lanes.len()`
+/// (≥ 2; one lane runs the sequential kernel) lane rows of a tile: output
+/// `q` sums lanes `rot[q], …, l−1, 0, …, rot[q]−1` left to right from
+/// `0.0`. All [`TILE`] chains advance together, one lane row per step.
+#[inline(always)]
+fn skewed_sums(lanes: &[[f32; TILE]], rot: &[u32; TILE]) -> [f32; TILE] {
+    let l = lanes.len();
+    debug_assert!(l > 1, "a single lane runs band_sequential");
+    let mut s = [0f32; TILE];
+    // Steps x = 0..l (lane x): live while `rot ≤ x`.
+    for (x, row) in lanes.iter().enumerate() {
+        let x = x as u32;
+        for q in 0..TILE {
+            add_where(&mut s[q], row[q], rot[q] <= x);
+        }
+    }
+    // Steps x = l..2l−1 (lane x − l): live while `x − l < rot`; the last
+    // lane is never live here because `rot < l`.
+    for (x, row) in lanes[..l - 1].iter().enumerate() {
+        let x = x as u32;
+        for q in 0..TILE {
+            add_where(&mut s[q], row[q], x < rot[q]);
+        }
+    }
+    s
+}
+
+/// `s += v` if `live`, else `s` unchanged, as a bitwise select (a
+/// merge-masked add once vectorized). Adding `0.0` for a dead step would
+/// be the identity on every sum except `-0.0`, which it turns into
+/// `+0.0`; the select keeps the window exact without any argument about
+/// which values a chain can hold.
+#[inline(always)]
+fn add_where(s: &mut f32, v: f32, live: bool) {
+    let mask = 0u32.wrapping_sub(u32::from(live));
+    let sum = (*s + v).to_bits();
+    *s = f32::from_bits((sum & mask) | (s.to_bits() & !mask));
 }
 
 fn check_rank2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<(), ShapeError> {

@@ -291,56 +291,100 @@ impl Reducer {
     #[inline]
     fn combine_permuted(&mut self, p: &mut [f32]) -> f32 {
         let l = p.len();
-        if l > 1 {
-            // Two random transpositions followed by a random rotation: cheap
-            // (three RNG draws) yet changes the combine order of most calls.
-            let j1 = self.sched.next_below(l as u32) as usize;
-            let j2 = self.sched.next_below(l as u32) as usize;
-            p.swap(0, j1);
-            p.swap(1.min(l - 1), j2);
-            let rot = self.sched.next_below(l as u32) as usize;
+        // Two random transpositions followed by a random rotation: cheap
+        // (three RNG draws) yet changes the combine order of most calls.
+        let spec = PermuteSpecs::draw(core::array::from_mut(&mut self.sched), l, self.amp_ulps);
+        let mut s = if l > 1 {
+            p.swap(0, spec.j1[0] as usize);
+            p.swap(1, spec.j2[0] as usize);
+            let rot = spec.rot[0] as usize;
             let mut s = 0f32;
             for k in 0..l {
                 s += p[(k + rot) % l];
             }
-            if self.amp_ulps > 0.0 {
-                let u = (self.sched.next_f64() as f32) * 2.0 - 1.0;
-                s *= 1.0 + u * self.amp_ulps * f32::EPSILON;
-            }
             s
         } else {
-            let mut s = p[0];
-            if self.amp_ulps > 0.0 {
-                let u = (self.sched.next_f64() as f32) * 2.0 - 1.0;
-                s *= 1.0 + u * self.amp_ulps * f32::EPSILON;
-            }
-            s
+            p[0]
+        };
+        if self.amp_ulps > 0.0 {
+            s *= spec.scale[0];
         }
+        s
     }
 }
 
-/// How one output's lane partials must be combined — captured *ahead of
-/// computation* so the blocked GEMM engine ([`crate::gemm`]) can evaluate
-/// outputs in any order (tiles, threads) while the scheduler RNG is
-/// consumed in exactly the order the per-element reference path would
-/// have consumed it.
+/// How `N` outputs' lane partials are combined under
+/// [`ReduceOrder::Permuted`], one output per array slot: swap lane 0 with
+/// lane `j1`, then lane 1 with lane `j2`, sum left to right starting at
+/// lane `rot` and wrapping around, and (when amplified) multiply by
+/// `scale`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PermuteSpec {
-    /// First transposition target (`p.swap(0, j1)`).
-    pub j1: u16,
-    /// Second transposition target (`p.swap(1.min(l - 1), j2)`).
-    pub j2: u16,
-    /// Rotation offset of the combine loop.
-    pub rot: u16,
-    /// Amplified-noise multiplier; only applied when `amplified` is set on
-    /// the plan (a `*= 1.0` is *not* a guaranteed bitwise no-op for NaN
-    /// payloads, so the reference path's "skip when amp == 0" is
-    /// reproduced exactly).
-    pub scale: f32,
+pub(crate) struct PermuteSpecs<const N: usize> {
+    /// First transposition targets (`p.swap(0, j1)`).
+    pub j1: [u32; N],
+    /// Second transposition targets (`p.swap(1, j2)`).
+    pub j2: [u32; N],
+    /// Rotation offsets of the combine loop.
+    pub rot: [u32; N],
+    /// Amplified-noise multipliers; only applied when the reducer is
+    /// amplified (a `*= 1.0` is *not* a guaranteed bitwise no-op for NaN
+    /// payloads, so "skip when amp == 0" is kept exact).
+    pub scale: [f32; N],
 }
 
-/// A pre-drawn accumulation plan for a batch of equal-length dot products
-/// (one GEMM). See [`Reducer::plan_dots`].
+impl<const N: usize> PermuteSpecs<N> {
+    /// Draws output `q`'s spec from stream `g[q]`. This is the only place
+    /// the Permuted combine consumes scheduler entropy — the direct
+    /// reductions draw through it with `N = 1` — and every stream is
+    /// consumed in the same order: two transpositions and a rotation
+    /// (three draws, only when `lanes > 1`), then the amplified scale (one
+    /// draw, only when `amp_ulps > 0`). Each draw is one loop across the
+    /// `N` independent streams, so the GEMM engine's tile-wide draws
+    /// vectorize.
+    #[inline(always)]
+    pub fn draw(g: &mut [SplitMix64; N], lanes: usize, amp_ulps: f32) -> Self {
+        let mut s = PermuteSpecs {
+            j1: [0; N],
+            j2: [0; N],
+            rot: [0; N],
+            scale: [1.0; N],
+        };
+        if lanes > 1 {
+            let l = lanes as u32;
+            for (x, g) in s.j1.iter_mut().zip(g.iter_mut()) {
+                *x = g.next_below(l);
+            }
+            for (x, g) in s.j2.iter_mut().zip(g.iter_mut()) {
+                *x = g.next_below(l);
+            }
+            for (x, g) in s.rot.iter_mut().zip(g.iter_mut()) {
+                *x = g.next_below(l);
+            }
+        }
+        if amp_ulps > 0.0 {
+            for (x, g) in s.scale.iter_mut().zip(g.iter_mut()) {
+                let u = (g.next_f64() as f32) * 2.0 - 1.0;
+                *x = 1.0 + u * amp_ulps * f32::EPSILON;
+            }
+        }
+        s
+    }
+
+    /// Scheduler draws one output's spec consumes (see
+    /// [`PermuteSpecs::draw`]).
+    fn draws(lanes: usize, amp_ulps: f32) -> u64 {
+        3 * u64::from(lanes > 1) + u64::from(amp_ulps > 0.0)
+    }
+}
+
+/// The accumulation plan for a batch of equal-length dot products (one
+/// GEMM). See [`Reducer::plan_dots`].
+///
+/// The plan holds no per-output state. Under [`ReduceOrder::Permuted`]
+/// the spec of the batch's *i*-th dot in reference call order is drawn on
+/// demand by [`DotPlan::specs`]: SplitMix64 is a Weyl sequence, so that
+/// spec's first draw sits exactly `i · draws_per_spec` draws past the
+/// scheduler state the batch started from.
 #[derive(Debug, Clone)]
 pub(crate) struct DotPlan {
     /// The accumulation order the batch runs under.
@@ -350,10 +394,17 @@ pub(crate) struct DotPlan {
     pub lanes: usize,
     /// Whether the amplified-noise multiplier is applied.
     pub amplified: bool,
-    /// Per-output combine specs in row-major output order; empty unless
-    /// `order == Permuted` (deterministic orders need no per-output
-    /// state).
-    pub specs: Vec<PermuteSpec>,
+    /// Number of dot products the plan was drawn for.
+    pub count: usize,
+    /// Width of the output-column groups the reference call order walks
+    /// (see [`DotPlan::with_column_groups`]); `None` means whole rows.
+    col_group: Option<usize>,
+    /// Scheduler state before the batch's first draw.
+    sched0: u64,
+    /// Scheduler draws per output spec (0 for deterministic orders).
+    draws_per_spec: u64,
+    /// Amplification in ulps (0 = faithful order-only).
+    amp_ulps: f32,
 }
 
 impl DotPlan {
@@ -366,54 +417,86 @@ impl DotPlan {
             order: ReduceOrder::FixedTree,
             lanes: lanes.clamp(1, MAX_LANES),
             amplified: false,
-            specs: Vec::new(),
+            count: 0,
+            col_group: None,
+            sched0: 0,
+            draws_per_spec: 0,
+            amp_ulps: 0.0,
         }
+    }
+
+    /// Declares that the reference computed the GEMM's outputs group by
+    /// group: the output columns split into consecutive groups of `width`,
+    /// and the reference ran all rows of one group before the next. Output
+    /// `(i, j)` of an `m`-row GEMM is then dot number
+    /// `(j / width)·m·width + i·width + j % width`. The batched conv
+    /// forward uses this: its columns are `(sample, pixel)` pairs, and the
+    /// reference ran one `[out_c, pixels]` GEMM per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    pub fn with_column_groups(mut self, width: usize) -> Self {
+        assert!(width > 0, "column group width must be positive");
+        self.col_group = Some(width);
+        self
+    }
+
+    /// The width of the column groups the reference call order walks in
+    /// an `n`-column GEMM: `n` (whole rows) unless
+    /// [`DotPlan::with_column_groups`] narrowed it.
+    pub fn column_group(&self, n: usize) -> usize {
+        self.col_group.unwrap_or(n)
+    }
+
+    /// The combine specs of the plan's dots number `idx[0], idx[1], …` (in
+    /// reference call order): slot `q` holds what the `idx[q]`-th of
+    /// `count` sequential [`Reducer::dot`] calls would draw. O(1) per
+    /// output, and independent of which other specs were drawn, so tiles
+    /// and threads may evaluate outputs in any order.
+    #[inline(always)]
+    pub fn specs<const N: usize>(&self, idx: &[usize; N]) -> PermuteSpecs<N> {
+        let mut g: [SplitMix64; N] = core::array::from_fn(|q| {
+            let mut g = SplitMix64::new(self.sched0);
+            g.advance(idx[q] as u64 * self.draws_per_spec);
+            g
+        });
+        PermuteSpecs::draw(&mut g, self.lanes, self.amp_ulps)
     }
 }
 
 impl Reducer {
-    /// Pre-draws the accumulation plan for `count` dot products of length
-    /// `k_len`, advancing this reducer's state (invocation counter and —
-    /// for [`ReduceOrder::Permuted`] — the scheduler RNG) exactly as
-    /// `count` sequential [`Reducer::dot`] calls would.
+    /// Plans `count` dot products of length `k_len`, advancing this
+    /// reducer's state (invocation counter and — for
+    /// [`ReduceOrder::Permuted`] — the scheduler RNG) exactly as `count`
+    /// sequential [`Reducer::dot`] calls would.
     ///
     /// This is the bridge that keeps the blocked GEMM engine bit-identical
-    /// to the per-element reference path: the *plan* fixes every output's
-    /// combine order up front, so the engine is free to reorder which
-    /// outputs are computed when.
+    /// to the per-element reference path: the plan records where the
+    /// batch's scheduler draws start, so every output's combine order is
+    /// fixed before the engine runs and the engine is free to reorder
+    /// which outputs are computed when. It costs O(1) whatever `count` is:
+    /// the RNG jumps over the batch's `count · draws_per_spec` draws.
     pub(crate) fn plan_dots(&mut self, count: usize, k_len: usize) -> DotPlan {
         self.invocations += count as u64;
         let lanes = self.lanes.min(k_len.max(1));
-        let amplified = self.amp_ulps > 0.0;
-        let specs = if self.order == ReduceOrder::Permuted {
-            (0..count)
-                .map(|_| {
-                    let (j1, j2, rot) = if lanes > 1 {
-                        (
-                            self.sched.next_below(lanes as u32) as u16,
-                            self.sched.next_below(lanes as u32) as u16,
-                            self.sched.next_below(lanes as u32) as u16,
-                        )
-                    } else {
-                        (0, 0, 0)
-                    };
-                    let scale = if amplified {
-                        let u = (self.sched.next_f64() as f32) * 2.0 - 1.0;
-                        1.0 + u * self.amp_ulps * f32::EPSILON
-                    } else {
-                        1.0
-                    };
-                    PermuteSpec { j1, j2, rot, scale }
-                })
-                .collect()
+        let sched0 = self.sched.state();
+        let draws_per_spec = if self.order == ReduceOrder::Permuted {
+            PermuteSpecs::<1>::draws(lanes, self.amp_ulps)
         } else {
-            Vec::new()
+            0
         };
+        self.sched
+            .advance((count as u64).wrapping_mul(draws_per_spec));
         DotPlan {
             order: self.order,
             lanes,
-            amplified,
-            specs,
+            amplified: self.amp_ulps > 0.0,
+            count,
+            col_group: None,
+            sched0,
+            draws_per_spec,
+            amp_ulps: self.amp_ulps,
         }
     }
 }
@@ -652,6 +735,73 @@ mod tests {
         r.dot(&[1.0], &[2.0]);
         r.sum_strided(&[1.0, 2.0], 0, 1, 2);
         assert_eq!(r.invocations(), 3);
+    }
+
+    #[test]
+    fn plan_dots_advances_like_sequential_dots() {
+        let (a, b) = (data(20), data(20));
+        for order in [
+            ReduceOrder::Sequential,
+            ReduceOrder::FixedTree,
+            ReduceOrder::Permuted,
+        ] {
+            for lanes in [1, 3, 40] {
+                for amp in [0.0, 512.0] {
+                    for count in [0, 1, 7, 1000] {
+                        let base = Reducer::new(order, lanes, 0xDEAD_BEEF).with_amplification(amp);
+                        let mut planned = base.clone();
+                        planned.plan_dots(count, a.len());
+                        let mut stepped = base.clone();
+                        for _ in 0..count {
+                            stepped.dot(&a, &b);
+                        }
+                        let what = format!("{order:?} lanes={lanes} amp={amp} count={count}");
+                        assert_eq!(planned.snapshot(), stepped.snapshot(), "{what}");
+                        assert_eq!(planned.invocations(), count as u64, "{what}");
+                        if order != ReduceOrder::Permuted || (lanes == 1 && amp == 0.0) {
+                            // No draws at all: the stream is untouched.
+                            assert_eq!(planned.snapshot().sched_state, 0xDEAD_BEEF, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_specs_match_sequential_draws() {
+        // Spec `i` of a plan is what the `i`-th of a run of sequential
+        // combines draws from one stream, whichever specs are asked for
+        // and in whatever order.
+        for (lanes, amp) in [(1, 512.0f32), (5, 0.0), (40, 512.0)] {
+            let mut planner =
+                Reducer::new(ReduceOrder::Permuted, lanes, 99).with_amplification(amp);
+            let plan = planner.plan_dots(64, 100);
+            let mut stream = SplitMix64::new(99);
+            let l = lanes as u32;
+            let expected: Vec<[u32; 4]> = (0..64)
+                .map(|_| {
+                    let mut spec = [0, 0, 0, 1f32.to_bits()];
+                    if l > 1 {
+                        for x in &mut spec[..3] {
+                            *x = stream.next_below(l);
+                        }
+                    }
+                    if amp > 0.0 {
+                        let u = (stream.next_f64() as f32) * 2.0 - 1.0;
+                        spec[3] = (1.0 + u * amp * f32::EPSILON).to_bits();
+                    }
+                    spec
+                })
+                .collect();
+            let idx: [usize; 4] = [63, 0, 17, 17];
+            let got = plan.specs(&idx);
+            for (q, &i) in idx.iter().enumerate() {
+                let spec = [got.j1[q], got.j2[q], got.rot[q], got.scale[q].to_bits()];
+                assert_eq!(spec, expected[i], "lanes={lanes} amp={amp} spec {i}");
+            }
+            assert_eq!(stream.state(), planner.snapshot().sched_state);
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Compare a fresh `cargo bench -p ns-bench --bench hotpath` run against the
-# committed reference numbers in BENCH_2.json.
+# committed reference numbers: the `post_pr_ns` figures of the newest
+# BENCH_<N>.json (highest N) that has any. Files that record only other
+# measurements (e.g. end-to-end wall times) are skipped.
 #
 # Usage:
 #   scripts/bench_compare.sh            # run benches, compare, warn on drift
@@ -15,7 +17,27 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-REF=BENCH_2.json
+REF=$(python3 - <<'PY'
+import glob, json, re
+
+def number(path):
+    m = re.fullmatch(r"BENCH_(\d+)\.json", path)
+    return int(m.group(1)) if m else -1
+
+for path in sorted(glob.glob("BENCH_*.json"), key=number, reverse=True):
+    if number(path) < 0:
+        continue
+    results = json.load(open(path)).get("results", {})
+    if any(isinstance(e, dict) and "post_pr_ns" in e for e in results.values()):
+        print(path)
+        break
+PY
+)
+if [[ -z "$REF" ]]; then
+    echo "bench_compare: no BENCH_*.json carries post_pr_ns figures" >&2
+    exit 1
+fi
+echo "bench_compare: reference $REF"
 TOLERANCE=${BENCH_TOLERANCE:-1.75} # warn when slower than ref by this factor
 # The fault-tolerance layer (chaos hooks, checkpoint plumbing) must be
 # zero-cost when disarmed: `begin_step`/`take_fault` are a null check and
@@ -72,7 +94,9 @@ if not fresh:
     sys.exit(1)
 
 warned = 0
-for name, entry in ref["results"].items():
+# Only entries with a per-bench figure are comparable.
+entries = {n: e for n, e in ref["results"].items() if isinstance(e, dict) and "post_pr_ns" in e}
+for name, entry in entries.items():
     if name not in fresh:
         print(f"bench_compare: WARN {name}: missing from fresh run")
         warned += 1
@@ -86,11 +110,11 @@ for name, entry in ref["results"].items():
         warned += 1
     print(f"bench_compare: {name}: ref {then:.1f} ns, now {now:.1f} ns [{status}]")
 
-for name in sorted(set(fresh) - set(ref["results"])):
+for name in sorted(set(fresh) - set(entries)):
     print(f"bench_compare: note: new bench {name} not in {ref_path}")
 
 if update:
-    for name, entry in ref["results"].items():
+    for name, entry in entries.items():
         if name in fresh:
             entry["post_pr_ns"] = fresh[name]
             pre = entry.get("pre_pr_reference_ns")

@@ -44,3 +44,14 @@ pub fn tiny_settings() -> ExperimentSettings {
         ..ExperimentSettings::default()
     }
 }
+
+/// FNV-1a (64-bit) over the little-endian bytes of `xs`: the hash the
+/// golden weight snapshots store.
+pub fn fnv1a64_f32(xs: &[f32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in xs.iter().flat_map(|x| x.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}

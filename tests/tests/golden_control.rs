@@ -13,7 +13,7 @@
 //! and explained in the commit message.
 
 use noisescope::prelude::*;
-use ns_integration::{tiny_settings, tiny_task};
+use ns_integration::{fnv1a64_f32, tiny_settings, tiny_task};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,15 +24,6 @@ struct GoldenEntry {
     fnv1a64: String,
     /// First few weights as bit patterns, for debugging a mismatch.
     head_bits: Vec<u32>,
-}
-
-fn fnv1a64(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn snapshot() -> Vec<GoldenEntry> {
@@ -50,10 +41,7 @@ fn snapshot() -> Vec<GoldenEntry> {
         GoldenEntry {
             device: device.name().to_string(),
             weights_len: w.len(),
-            fnv1a64: format!(
-                "{:016x}",
-                fnv1a64(w.iter().flat_map(|x| x.to_le_bytes().into_iter()))
-            ),
+            fnv1a64: format!("{:016x}", fnv1a64_f32(w)),
             head_bits: w.iter().take(8).map(|x| x.to_bits()).collect(),
         }
     })
