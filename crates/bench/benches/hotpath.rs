@@ -1,8 +1,10 @@
 //! The committed hot-path suite behind the `BENCH_*.json` files: GEMM,
 //! conv forward, conv backward, one training step, and a whole replica
-//! fleet. Conv forward and the training steps are measured under the
-//! Permuted order (V100 Default mode) as well as the RNG-free orders,
-//! since most grid cells run there.
+//! fleet. Conv forward, conv backward and the training steps are
+//! measured under the Permuted order (V100 Default mode) as well as the
+//! RNG-free orders, since most grid cells run there; `tpu_b400` cells
+//! measure fig6's full-batch arm, whose weight-gradient chains are the
+//! longest any experiment runs.
 //!
 //! Benchmark names are stable identifiers — `scripts/bench_compare.sh`
 //! parses them out of `cargo bench` output and compares against the
@@ -89,12 +91,41 @@ fn bench_conv(c: &mut Criterion) {
     let mut red = Reducer::sequential();
     let mut ws = Workspace::new();
     let y = conv2d_forward_ws(&x, &w, &b, &geom, &mut red, 1, &mut ws).unwrap();
-    group.bench_function("sequential", |bch| {
-        let mut red = Reducer::sequential();
+    for (name, order) in [
+        ("sequential", ReduceOrder::Sequential),
+        ("fixed_tree", ReduceOrder::FixedTree),
+        ("permuted", ReduceOrder::Permuted),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &order, |bch, &order| {
+            let mut red = match order {
+                ReduceOrder::Sequential => Reducer::sequential(),
+                _ => Reducer::new(order, 40, 7).with_amplification(512.0),
+            };
+            let mut ws = Workspace::new();
+            bch.iter(|| {
+                std::hint::black_box(
+                    conv2d_backward_ws(&x, &w, &y, &geom, &mut red, 1, &mut ws).unwrap(),
+                )
+            });
+        });
+    }
+    // The weight gradient of fig6's full-batch arm: SmallCNN's second conv
+    // (16 -> 16 channels at 6x6) over a batch of 400 on the TPU's 16 fixed
+    // lanes, so each weight-gradient chain is 400·36 terms long.
+    let geom = ConvGeometry::new(16, 16, 3, 1, 1, 6, 6);
+    let batch = 400usize;
+    let x = filled(Shape::of(&[batch, geom.in_c, geom.in_h, geom.in_w]), 6);
+    let w = filled(Shape::of(&[geom.out_c, geom.patch_len()]), 7);
+    let dy = filled(
+        Shape::of(&[batch, geom.out_c, geom.out_h(), geom.out_w()]),
+        8,
+    );
+    group.bench_function("tpu_b400", |bch| {
+        let mut red = Reducer::new(ReduceOrder::FixedTree, 16, 7);
         let mut ws = Workspace::new();
         bch.iter(|| {
             std::hint::black_box(
-                conv2d_backward_ws(&x, &w, &y, &geom, &mut red, 1, &mut ws).unwrap(),
+                conv2d_backward_ws(&x, &w, &dy, &geom, &mut red, 1, &mut ws).unwrap(),
             )
         });
     });
@@ -107,11 +138,14 @@ fn bench_train_step(c: &mut Criterion) {
     group.sample_size(10);
     let small_cnn: fn(&Philox) -> Network = |root| zoo::small_cnn(12, 3, 10, false, root);
     let micro_resnet18: fn(&Philox) -> Network = |root| zoo::micro_resnet18(8, 3, 10, root);
-    for (name, build, hw, device, mode) in [
+    // `tpu_b400` is fig6's full-batch step: all 400 training samples of
+    // the SmallCNN task in one batch on the TPU.
+    for (name, build, hw, batch, device, mode) in [
         (
             "small_cnn/cpu",
             small_cnn,
             12,
+            16,
             Device::cpu(),
             ExecutionMode::Default,
         ),
@@ -119,6 +153,7 @@ fn bench_train_step(c: &mut Criterion) {
             "small_cnn/v100_det",
             small_cnn,
             12,
+            16,
             Device::v100(),
             ExecutionMode::Deterministic,
         ),
@@ -126,13 +161,23 @@ fn bench_train_step(c: &mut Criterion) {
             "small_cnn/v100_default",
             small_cnn,
             12,
+            16,
             Device::v100(),
+            ExecutionMode::Default,
+        ),
+        (
+            "small_cnn/tpu_b400",
+            small_cnn,
+            12,
+            400,
+            Device::tpu_v2(),
             ExecutionMode::Default,
         ),
         (
             "micro_resnet18/v100_det",
             micro_resnet18,
             8,
+            16,
             Device::v100(),
             ExecutionMode::Deterministic,
         ),
@@ -140,6 +185,7 @@ fn bench_train_step(c: &mut Criterion) {
             "micro_resnet18/v100_default",
             micro_resnet18,
             8,
+            16,
             Device::v100(),
             ExecutionMode::Default,
         ),
@@ -151,8 +197,8 @@ fn bench_train_step(c: &mut Criterion) {
                 .entropy(3)
                 .amp_ulps(512.0)
                 .build();
-            let x = filled(Shape::of(&[16, 3, hw, hw]), 11);
-            let labels: Vec<u32> = (0..16).map(|i| (i % 10) as u32).collect();
+            let x = filled(Shape::of(&[batch, 3, hw, hw]), 11);
+            let labels: Vec<u32> = (0..batch).map(|i| (i % 10) as u32).collect();
             let mut step = 0u64;
             bch.iter(|| {
                 let logits = net.forward(x.clone(), &mut exec, &root, step, true);

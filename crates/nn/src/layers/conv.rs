@@ -4,7 +4,10 @@ use super::Layer;
 use crate::init::Init;
 use detrand::{Philox, StreamRng};
 use hwsim::{ExecutionContext, OpClass};
-use nstensor::{conv2d_backward_ws, conv2d_forward_ws, ConvGeometry, Shape, Tensor, Workspace};
+use nstensor::{
+    conv2d_backward_ws, conv2d_forward_ws, conv2d_weight_grads_ws, ConvGeometry, Shape, Tensor,
+    Workspace,
+};
 
 /// A 2-D convolution layer (`[N, C, H, W]` input).
 ///
@@ -102,6 +105,25 @@ impl Layer for Conv2d {
         self.dw = grads.dw;
         self.db = grads.db;
         grads.dx
+    }
+
+    /// Computes only the weight and bias gradients: the input gradient
+    /// touches no reducer, so skipping it leaves `exec` exactly as
+    /// [`Layer::backward`] would.
+    fn backward_discard_input_grad(&mut self, dy: Tensor, exec: &mut ExecutionContext) {
+        let x = self.cached_x.take().expect("backward before forward");
+        let threads = exec.threads();
+        let (dw, db) = conv2d_weight_grads_ws(
+            &x,
+            &dy,
+            &self.geom,
+            exec.reducer(OpClass::WeightGrad),
+            threads,
+            &mut self.ws,
+        )
+        .expect("conv2d backward shape");
+        self.dw = dw;
+        self.db = db;
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

@@ -54,6 +54,25 @@ pub trait Layer: std::fmt::Debug {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, dy: Tensor, exec: &mut ExecutionContext) -> Tensor;
 
+    /// Backward pass of a network's first layer, whose input gradient
+    /// nothing reads: stores the same parameter gradients as
+    /// [`Layer::backward`] and leaves the execution context in the same
+    /// state. The default runs [`Layer::backward`] and drops the result.
+    ///
+    /// An override may skip the input gradient only if computing it
+    /// neither borrows a reducer from `exec` nor draws from one; otherwise
+    /// skipping it would shift the chaos op count or the scheduler state
+    /// that every later reduction sees. [`Conv2d`] qualifies: its input
+    /// gradient runs a stateless fixed-lane plan. [`Dense`] does not: its
+    /// input gradient is an `InputGrad` GEMM, so it keeps the default.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before `forward`.
+    fn backward_discard_input_grad(&mut self, dy: Tensor, exec: &mut ExecutionContext) {
+        drop(self.backward(dy, exec));
+    }
+
     /// Visits `(parameter, gradient)` pairs for the optimizer.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
 

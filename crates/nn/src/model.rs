@@ -67,12 +67,17 @@ impl Network {
         x
     }
 
-    /// Backward pass through every layer in reverse.
-    pub fn backward(&mut self, mut dy: Tensor, exec: &mut ExecutionContext) -> Tensor {
-        for layer in self.layers.iter_mut().rev() {
-            dy = layer.backward(dy, exec);
+    /// Backward pass through every layer in reverse, storing each layer's
+    /// parameter gradients. Nothing reads the gradient w.r.t. the
+    /// network's input, so the first layer runs
+    /// [`Layer::backward_discard_input_grad`].
+    pub fn backward(&mut self, mut dy: Tensor, exec: &mut ExecutionContext) {
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            for layer in rest.iter_mut().rev() {
+                dy = layer.backward(dy, exec);
+            }
+            first.backward_discard_input_grad(dy, exec);
         }
-        dy
     }
 
     /// Visits every `(parameter, gradient)` pair.
@@ -137,6 +142,8 @@ impl Network {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
+    use crate::loss::softmax_cross_entropy;
+    use crate::zoo;
     use detrand::StreamId;
     use hwsim::{Device, ExecutionMode};
     use nstensor::Shape;
@@ -163,8 +170,100 @@ mod tests {
             true,
         );
         assert_eq!(y.shape().dims(), &[4, 2]);
-        let dx = net.backward(Tensor::full(Shape::of(&[4, 2]), 1.0), &mut exec);
-        assert_eq!(dx.shape().dims(), &[4, 3]);
+        // `Network::backward` drops the input gradient; the first layer's
+        // own `Dense::backward` still returns it.
+        let mut dy = Tensor::full(Shape::of(&[4, 2]), 1.0);
+        for layer in net.layers.iter_mut().rev() {
+            dy = layer.backward(dy, &mut exec);
+        }
+        assert_eq!(dy.shape().dims(), &[4, 3]);
+    }
+
+    /// Every `(parameter, gradient)` pair's gradient bits, in visit order.
+    fn grad_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        net.visit_params(&mut |_, g| out.push(g.as_slice().iter().map(|v| v.to_bits()).collect()));
+        out
+    }
+
+    /// After one forward, `Network::backward` — whose first layer may skip
+    /// its input gradient — leaves every parameter gradient and every
+    /// reducer bit-identical to a reverse chain of `Layer::backward` calls
+    /// that still computes layer 0's input gradient.
+    fn assert_first_layer_skip_is_invisible(
+        build: impl Fn() -> (Network, Philox),
+        x: Tensor,
+        exec: ExecutionContext,
+        what: &str,
+    ) {
+        let n = x.shape().dim(0);
+        let labels: Vec<u32> = (0..n as u32).map(|i| i % 2).collect();
+        let mut runs = Vec::new();
+        for full_chain in [false, true] {
+            let (mut net, root) = build();
+            let mut exec = exec.clone();
+            let logits = net.forward(x.clone(), &mut exec, &root, 0, true);
+            let (_, dl) = softmax_cross_entropy(&logits, &labels);
+            if full_chain {
+                let mut dy = dl;
+                for layer in net.layers.iter_mut().rev() {
+                    dy = layer.backward(dy, &mut exec);
+                }
+                assert_eq!(dy.shape(), x.shape(), "{what}: input gradient shape");
+            } else {
+                net.backward(dl, &mut exec);
+            }
+            runs.push((grad_bits(&mut net), exec.snapshot()));
+        }
+        assert!(runs[0].0 == runs[1].0, "{what}: parameter gradients differ");
+        assert_eq!(runs[0].1, runs[1].1, "{what}: reducer state differs");
+    }
+
+    #[test]
+    fn first_layer_skip_matches_full_backward_chain() {
+        let tpu = ExecutionContext::new(Device::tpu_v2(), ExecutionMode::Default, 5);
+        let v100 = ExecutionContext::builder(Device::v100())
+            .mode(ExecutionMode::Default)
+            .entropy(5)
+            .amp_ulps(512.0)
+            .build();
+        let input = |n: usize, hw: usize| {
+            let len = n * 3 * hw * hw;
+            let data = (0..len)
+                .map(|i| ((i * 37 % 101) as f32 / 101.0) - 0.5)
+                .collect();
+            Tensor::from_vec(Shape::of(&[n, 3, hw, hw]), data).unwrap()
+        };
+        for (device, exec) in [("tpu", &tpu), ("v100_default", &v100)] {
+            let small_cnn = || {
+                let root = Philox::from_seed(11);
+                (zoo::small_cnn(12, 3, 3, true, &root), root)
+            };
+            let resnet = || {
+                let root = Philox::from_seed(12);
+                (zoo::micro_resnet18(8, 3, 3, &root), root)
+            };
+            assert_first_layer_skip_is_invisible(
+                small_cnn,
+                input(5, 12),
+                exec.clone(),
+                &format!("small_cnn/{device}"),
+            );
+            assert_first_layer_skip_is_invisible(
+                resnet,
+                input(4, 8),
+                exec.clone(),
+                &format!("micro_resnet18/{device}"),
+            );
+            // Dense first: its input gradient draws from `InputGrad`, so
+            // it keeps computing it and the reducer states still agree.
+            assert_first_layer_skip_is_invisible(
+                || mlp(6),
+                Tensor::from_vec(Shape::of(&[4, 3]), vec![0.25; 12]).unwrap(),
+                exec.clone(),
+                &format!("mlp/{device}"),
+            );
+        }
     }
 
     #[test]

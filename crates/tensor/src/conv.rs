@@ -12,14 +12,23 @@
 //! combine order inside one output. Each output's scheduler draws are
 //! located by its position in the reference call order
 //! ([`Reducer::plan_dots`]), so the forward pass batches all samples into
-//! one GEMM under every order, Permuted included. The `_ws` variants
-//! reuse caller-provided [`Workspace`] scratch (im2col columns, packed
-//! panels, transposes) across calls; the plain variants allocate
-//! privately.
+//! one GEMM under every order, Permuted included.
+//!
+//! The backward pass lowers the input once, as the transposed patch
+//! matrix `colᵀ` (im2row), and transposes `dy` once. The weight gradient
+//! is one batch-wide GEMM computing `dWᵀ = colᵀ × dyᵀ`, whose plan maps
+//! each transposed output back to the reference's `(out channel, patch
+//! position)` call order; the input gradient reuses `dyᵀ`.
+//! [`conv2d_weight_grads_ws`] is the weight-gradient half on its own, for
+//! a network's first layer, whose input gradient nothing reads.
+//!
+//! The `_ws` variants reuse caller-provided [`Workspace`] scratch
+//! (lowerings, packed panels, transposes) across calls; the plain
+//! variants allocate privately.
 
 use crate::error::ShapeError;
 use crate::gemm::gemm_packed_planned;
-use crate::pack::{pack_b_panels, NR};
+use crate::pack::{pack_b_panels, transpose_into, NR};
 use crate::reduce::{DotPlan, Reducer};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -125,7 +134,9 @@ pub struct Conv2dGrads {
     pub db: Tensor,
 }
 
-/// Lowers one sample into patch-major (`[out_pixels, patch_len]`) layout.
+/// Lowers one sample into patch-major (`[out_pixels, patch_len]`) layout:
+/// the reference lowering the test oracles build on.
+#[cfg(test)]
 fn im2col(x: &[f32], g: &ConvGeometry, out: &mut [f32]) {
     let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
     debug_assert_eq!(out.len(), oh * ow * pl);
@@ -252,6 +263,59 @@ pub(crate) fn im2col_packed(x: &[f32], g: &ConvGeometry, batch: usize, packed: &
                 }
             }
             j0 += run;
+        }
+    }
+}
+
+/// Lowers a batch into the transposed patch matrix `colᵀ`
+/// (`[patch_len, n·pixels]`, the A operand of the weight-gradient GEMM):
+/// row `q = (c, ky, kx)` holds patch position `q` of every output pixel,
+/// pixels running `(sample, oy, ox)` row-major across the batch. Along
+/// one output row the values come from one input row shifted by
+/// `kx − pad` (every `stride`-th element), so with stride 1 each stretch
+/// is one contiguous copy between zero-filled edges.
+fn im2row(x: &[f32], g: &ConvGeometry, batch: usize, out: &mut [f32]) {
+    let (ow, pixels) = (g.out_w(), g.out_pixels());
+    let np = batch * pixels;
+    let ihw = g.in_h * g.in_w;
+    let sample = g.in_c * ihw;
+    debug_assert_eq!(x.len(), batch * sample);
+    assert_eq!(out.len(), g.patch_len() * np, "im2row buffer size");
+    if np == 0 {
+        return;
+    }
+    for (q, row) in out.chunks_exact_mut(np).enumerate() {
+        let (c, ky, kx) = (q / (g.k * g.k), q / g.k % g.k, q % g.k);
+        // Input column read by output column 0.
+        let ix0 = kx as isize - g.pad as isize;
+        for (s, dst_s) in row.chunks_exact_mut(pixels).enumerate() {
+            let chan = &x[s * sample + c * ihw..s * sample + (c + 1) * ihw];
+            for (oy, dst) in dst_s.chunks_exact_mut(ow).enumerate() {
+                let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                if iy < 0 || iy as usize >= g.in_h {
+                    dst.fill(0.0);
+                    continue;
+                }
+                let src = &chan[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
+                if g.stride == 1 {
+                    let lo = ((-ix0).max(0) as usize).min(ow);
+                    let hi = ((g.in_w as isize - ix0).max(0) as usize).min(ow).max(lo);
+                    dst[..lo].fill(0.0);
+                    dst[lo..hi].copy_from_slice(
+                        &src[(ix0 + lo as isize) as usize..(ix0 + hi as isize) as usize],
+                    );
+                    dst[hi..].fill(0.0);
+                } else {
+                    for (ox, d) in dst.iter_mut().enumerate() {
+                        let ix = (ox * g.stride) as isize + ix0;
+                        *d = if ix >= 0 && (ix as usize) < g.in_w {
+                            src[ix as usize]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
         }
     }
 }
@@ -388,12 +452,13 @@ pub fn conv2d_backward(
 /// [`conv2d_backward`] for the math and [`conv2d_forward_ws`] for the
 /// engine/workspace contract.
 ///
-/// The reducer call order of the reference path is preserved exactly:
-/// first the dW matmul's `out_c × patch_len` planned dots over the
-/// all-batch inner dimension, then `out_c` bias-gradient sums. The input
-/// gradient never touched the reducer in the reference path (it uses a
-/// fixed `channel % lanes` assignment combined left-to-right), so it runs
-/// under a stateless [`DotPlan::fixed_lanes`] plan.
+/// The weight and bias gradients are [`conv2d_weight_grads_ws`], which
+/// fixes the reducer call order: the dW GEMM's `out_c × patch_len`
+/// planned dots over the all-batch inner dimension, then `out_c`
+/// bias-gradient sums. The input gradient never touches the reducer (the
+/// reference combines channels with a fixed `channel % lanes` assignment,
+/// left to right), so it runs afterwards under a stateless
+/// [`DotPlan::fixed_lanes`] plan, reusing the weight gradient's `dyᵀ`.
 ///
 /// # Errors
 ///
@@ -409,113 +474,137 @@ pub fn conv2d_backward_ws(
 ) -> Result<Conv2dGrads, ShapeError> {
     let bias = Tensor::zeros(Shape::of(&[geom.out_c]));
     validate(input, weights, &bias, geom)?;
+    let (dw, db, dyt) = weight_grads(input, dy, geom, red, threads, ws)?;
+    let dx = input_grad(&dyt, weights, geom, input.shape(), red.lanes(), threads, ws);
+    ws.recycle(dyt);
+    Ok(Conv2dGrads { dx, dw, db })
+}
+
+/// The weight-gradient half of [`conv2d_backward_ws`]: returns `(dw, db)`
+/// with bits and reducer state identical to the full backward, without
+/// computing the input gradient. A network's first layer needs nothing
+/// more, since nothing reads the gradient w.r.t. the network's input.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `input` or `dy` disagrees with `geom`.
+pub fn conv2d_weight_grads_ws(
+    input: &Tensor,
+    dy: &Tensor,
+    geom: &ConvGeometry,
+    red: &mut Reducer,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Result<(Tensor, Tensor), ShapeError> {
+    let (dw, db, dyt) = weight_grads(input, dy, geom, red, threads, ws)?;
+    ws.recycle(dyt);
+    Ok((dw, db))
+}
+
+/// Computes `(dw, db, dyᵀ)`, where `dyᵀ` is the row-major
+/// `[n·pixels, out_c]` transpose of `dy` that the input gradient reuses as
+/// its A operand.
+///
+/// dW runs as its transpose, `dWᵀ[q, o] = Σ_{s,p} colᵀ[q, (s, p)] ·
+/// dyᵀ[(s, p), o]`: `x` is lowered once, by [`im2row`], straight into
+/// the A operand, and `dyᵀ` is the B operand. With `out_c == NR` (one full
+/// panel) the row-major `dyᵀ` already is the packed panel layout, so the
+/// GEMM reads it in place; other widths pack it first. The reference
+/// computes `dW[o, q]` in row-major `(o, q)` order, so output `(q, o)` of
+/// the transposed GEMM must combine under spec `o·pl + q`: column groups
+/// of width 1.
+fn weight_grads(
+    input: &Tensor,
+    dy: &Tensor,
+    geom: &ConvGeometry,
+    red: &mut Reducer,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Result<(Tensor, Tensor, Vec<f32>), ShapeError> {
+    validate_input(input, geom)?;
     let n = input.shape().dim(0);
     let (oh, ow, oc, pl) = (geom.out_h(), geom.out_w(), geom.out_c, geom.patch_len());
-    let pixels = oh * ow;
     if dy.shape() != Shape::of(&[n, oc, oh, ow]) {
         return Err(ShapeError::new(
             "conv2d_backward",
             format!("dy shape {} != [{n}, {oc}, {oh}, {ow}]", dy.shape()),
         ));
     }
-
-    let xin = input.as_slice();
-    let dyv = dy.as_slice();
-    let wv = weights.as_slice();
-    let sample = geom.in_c * geom.in_h * geom.in_w;
+    let pixels = oh * ow;
     let np = n * pixels;
+    let dyv = dy.as_slice();
 
-    // --- all-batch im2col: [N*pixels, patch_len] ---
-    let mut col_all = ws.take_scratch(np * pl);
-    for s in 0..n {
-        im2col(
-            &xin[s * sample..(s + 1) * sample],
-            geom,
-            &mut col_all[s * pixels * pl..(s + 1) * pixels * pl],
-        );
-    }
-
-    // --- dW = dYr [oc, N*pixels] × col_all [N*pixels, pl] ---
-    // Rearrange dy from [N, oc, pixels] to [oc, N*pixels].
-    let mut dy_r = ws.take_scratch(oc * np);
-    for s in 0..n {
-        for o in 0..oc {
-            let src = &dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels];
-            dy_r[o * np + s * pixels..o * np + (s + 1) * pixels].copy_from_slice(src);
-        }
-    }
-    let mut col_packed = ws.take_scratch(pl.div_ceil(NR) * np * NR);
-    pack_b_panels(&col_all, np, pl, &mut col_packed);
-    let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
-    let plan = red.plan_dots(oc * pl, np);
-    gemm_packed_planned(
-        &dy_r,
-        &col_packed,
-        oc,
-        pl,
-        np,
-        &plan,
-        threads,
-        dw.as_mut_slice(),
-    );
-    ws.recycle(col_all);
-    ws.recycle(col_packed);
-
-    // --- db[o] = Σ_{s,p} dy[s,o,p] (cross-batch reduction) ---
-    let mut db = Tensor::zeros(Shape::of(&[oc]));
-    {
-        let dbv = db.as_mut_slice();
-        for o in 0..oc {
-            dbv[o] = red.sum(&dy_r[o * np..(o + 1) * np]);
-        }
-    }
-    ws.recycle(dy_r);
-
-    // --- dX: per-sample dcolT = dY_sᵀ [pixels, oc] × W [oc, pl], then col2im ---
-    // The reference combines channels with a fixed `o % lc` lane assignment
-    // and a left-to-right lane sum, never consulting the reducer's RNG; a
-    // stateless fixed-lane plan reproduces that bit-for-bit.
-    let lc = red.lanes().min(oc.max(1));
-    let dx_plan = DotPlan::fixed_lanes(lc);
-    let mut dx = Tensor::zeros(input.shape());
-    let dxv = dx.as_mut_slice();
-    // The plan is stateless (fixed lane assignment, no per-output draws),
-    // so all samples fuse into one [n·pixels, patch_len] GEMM; `W` is
-    // already in the engine's `[k, n]` layout and packs transpose-free.
-    let mut dyt_all = ws.take_scratch(np * oc);
+    let mut colt = ws.take_scratch(pl * np);
+    im2row(input.as_slice(), geom, n, &mut colt);
+    // dy [n, oc, pixels] → dyᵀ [n·pixels, oc].
+    let mut dyt = ws.take_scratch(np * oc);
     for s in 0..n {
         for o in 0..oc {
             let src = &dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels];
             for (p, &v) in src.iter().enumerate() {
-                dyt_all[(s * pixels + p) * oc + o] = v;
+                dyt[(s * pixels + p) * oc + o] = v;
             }
         }
     }
-    let mut w_packed = ws.take_scratch(pl.div_ceil(NR) * oc * NR);
-    pack_b_panels(wv, oc, pl, &mut w_packed);
-    let mut dcol_all = ws.take_scratch(np * pl);
-    gemm_packed_planned(
-        &dyt_all,
-        &w_packed,
-        np,
-        pl,
-        oc,
-        &dx_plan,
-        threads,
-        &mut dcol_all,
-    );
-    for s in 0..n {
-        col2im(
-            &dcol_all[s * pixels * pl..(s + 1) * pixels * pl],
-            geom,
-            &mut dxv[s * sample..(s + 1) * sample],
-        );
+    let plan = red.plan_dots(oc * pl, np).with_column_groups(1);
+    // O(pl·oc) buffers are plain allocations: the workspace hands out its
+    // largest buffer first, so small takes would strand the big ones.
+    let mut dwt = vec![0f32; pl * oc];
+    if oc == NR {
+        gemm_packed_planned(&colt, &dyt, pl, oc, np, &plan, threads, &mut dwt);
+    } else {
+        let mut dyt_packed = ws.take_scratch(oc.div_ceil(NR) * np * NR);
+        pack_b_panels(&dyt, np, oc, &mut dyt_packed);
+        gemm_packed_planned(&colt, &dyt_packed, pl, oc, np, &plan, threads, &mut dwt);
+        ws.recycle(dyt_packed);
     }
-    ws.recycle(dyt_all);
-    ws.recycle(w_packed);
-    ws.recycle(dcol_all);
+    ws.recycle(colt);
+    let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
+    transpose_into(&dwt, pl, oc, dw.as_mut_slice());
 
-    Ok(Conv2dGrads { dx, dw, db })
+    // db[o] = Σ_{s,p} dy[s,o,p] (cross-batch reduction), channel by channel.
+    let mut db = Tensor::zeros(Shape::of(&[oc]));
+    let mut chan = Vec::with_capacity(np);
+    for (o, d) in db.as_mut_slice().iter_mut().enumerate() {
+        chan.clear();
+        for s in 0..n {
+            chan.extend_from_slice(&dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels]);
+        }
+        *d = red.sum(&chan);
+    }
+    Ok((dw, db, dyt))
+}
+
+/// dX: `dcol = dyᵀ [n·pixels, oc] × W [oc, patch_len]` in one GEMM, then
+/// `col2im` per sample. The reference combines channels with a fixed
+/// `o % lanes` assignment and a left-to-right lane sum, never consulting
+/// the reducer's RNG; a stateless fixed-lane plan reproduces that
+/// bit-for-bit, so all samples fuse into one GEMM and `W` packs
+/// transpose-free.
+fn input_grad(
+    dyt: &[f32],
+    weights: &Tensor,
+    geom: &ConvGeometry,
+    input_shape: Shape,
+    lanes: usize,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Tensor {
+    let n = input_shape.dim(0);
+    let (oc, pl, pixels) = (geom.out_c, geom.patch_len(), geom.out_pixels());
+    let np = n * pixels;
+    let sample = geom.in_c * geom.in_h * geom.in_w;
+    let dx_plan = DotPlan::fixed_lanes(lanes.min(oc.max(1)));
+    let mut w_packed = vec![0f32; pl.div_ceil(NR) * oc * NR];
+    pack_b_panels(weights.as_slice(), oc, pl, &mut w_packed);
+    let mut dcol = ws.take_scratch(np * pl);
+    gemm_packed_planned(dyt, &w_packed, np, pl, oc, &dx_plan, threads, &mut dcol);
+    let mut dx = Tensor::zeros(input_shape);
+    for (s, dxs) in dx.as_mut_slice().chunks_exact_mut(sample).enumerate() {
+        col2im(&dcol[s * pixels * pl..(s + 1) * pixels * pl], geom, dxs);
+    }
+    ws.recycle(dcol);
+    dx
 }
 
 fn validate(
@@ -524,22 +613,7 @@ fn validate(
     bias: &Tensor,
     g: &ConvGeometry,
 ) -> Result<(), ShapeError> {
-    if input.shape().rank() != 4
-        || input.shape().dim(1) != g.in_c
-        || input.shape().dim(2) != g.in_h
-        || input.shape().dim(3) != g.in_w
-    {
-        return Err(ShapeError::new(
-            "conv2d",
-            format!(
-                "input {} incompatible with geometry (C={}, H={}, W={})",
-                input.shape(),
-                g.in_c,
-                g.in_h,
-                g.in_w
-            ),
-        ));
-    }
+    validate_input(input, g)?;
     if weights.shape() != Shape::of(&[g.out_c, g.patch_len()]) {
         return Err(ShapeError::new(
             "conv2d",
@@ -555,6 +629,26 @@ fn validate(
         return Err(ShapeError::new(
             "conv2d",
             format!("bias {} != [{}]", bias.shape(), g.out_c),
+        ));
+    }
+    Ok(())
+}
+
+fn validate_input(input: &Tensor, g: &ConvGeometry) -> Result<(), ShapeError> {
+    if input.shape().rank() != 4
+        || input.shape().dim(1) != g.in_c
+        || input.shape().dim(2) != g.in_h
+        || input.shape().dim(3) != g.in_w
+    {
+        return Err(ShapeError::new(
+            "conv2d",
+            format!(
+                "input {} incompatible with geometry (C={}, H={}, W={})",
+                input.shape(),
+                g.in_c,
+                g.in_h,
+                g.in_w
+            ),
         ));
     }
     Ok(())
@@ -594,6 +688,152 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Per-element oracle for [`conv2d_backward_ws`], in the reference's
+    /// reducer call order: first `dW[o, q]` as one [`Reducer::dot`] of
+    /// channel `o`'s gradient with patch position `q`, both over the
+    /// batch-flattened `(sample, pixel)` sequence, in `(o, q)` order; then
+    /// the `out_c` bias sums in channel order; then, per sample, the input
+    /// gradient through the fixed-lane dot (`channel % lanes`, lanes
+    /// combined left to right, no scheduler draws) and `col2im`. Returns
+    /// `(dx, dw, db)`.
+    fn oracle_backward(
+        x: &Tensor,
+        w: &Tensor,
+        dy: &Tensor,
+        g: &ConvGeometry,
+        red: &mut Reducer,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let n = x.shape().dim(0);
+        let (oc, pl, pixels) = (g.out_c, g.patch_len(), g.out_pixels());
+        let sample = g.in_c * g.in_h * g.in_w;
+        let (xv, wv, dyv) = (x.as_slice(), w.as_slice(), dy.as_slice());
+        // cols[(s·pixels + p)·pl + q]: patch position q of batch pixel (s, p).
+        let mut cols = vec![0f32; n * pixels * pl];
+        for s in 0..n {
+            im2col(
+                &xv[s * sample..(s + 1) * sample],
+                g,
+                &mut cols[s * pixels * pl..(s + 1) * pixels * pl],
+            );
+        }
+        let channel = |o: usize| -> Vec<f32> {
+            (0..n)
+                .flat_map(|s| dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels].to_vec())
+                .collect()
+        };
+        let mut dw = Vec::with_capacity(oc * pl);
+        for o in 0..oc {
+            let gy = channel(o);
+            for q in 0..pl {
+                let patch: Vec<f32> = (0..n * pixels).map(|sp| cols[sp * pl + q]).collect();
+                dw.push(red.dot(&gy, &patch));
+            }
+        }
+        let db: Vec<f32> = (0..oc).map(|o| red.sum(&channel(o))).collect();
+        let mut fixed = Reducer::new(ReduceOrder::FixedTree, red.lanes().min(oc), 0);
+        let mut dx = vec![0f32; n * sample];
+        let mut dcol = vec![0f32; pixels * pl];
+        for s in 0..n {
+            for p in 0..pixels {
+                let gy: Vec<f32> = (0..oc).map(|o| dyv[(s * oc + o) * pixels + p]).collect();
+                for q in 0..pl {
+                    let wcol: Vec<f32> = (0..oc).map(|o| wv[o * pl + q]).collect();
+                    dcol[p * pl + q] = fixed.dot(&gy, &wcol);
+                }
+            }
+            col2im(&dcol, g, &mut dx[s * sample..(s + 1) * sample]);
+        }
+        (dx, dw, db)
+    }
+
+    /// Runs [`conv2d_backward_ws`] on a seeded batch of `n` under every
+    /// order × lanes {1, 3, 16, 27, 64} × amp {0, 512} × threads {1, 3}
+    /// and checks it against [`oracle_backward`]: every output bit, the
+    /// reducer snapshot, and the reducer's next draw.
+    fn check_backward_against_oracle(
+        g: &ConvGeometry,
+        n: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let x = Tensor::from_vec(
+            Shape::of(&[n, g.in_c, g.in_h, g.in_w]),
+            noise(n * g.in_c * g.in_h * g.in_w, seed),
+        )
+        .unwrap();
+        let w = Tensor::from_vec(
+            Shape::of(&[g.out_c, g.patch_len()]),
+            noise(g.out_c * g.patch_len(), seed ^ 0xA5A5),
+        )
+        .unwrap();
+        let dy = Tensor::from_vec(
+            Shape::of(&[n, g.out_c, g.out_h(), g.out_w()]),
+            noise(n * g.out_c * g.out_pixels(), seed ^ 0x5A5A),
+        )
+        .unwrap();
+        let probe = noise(g.patch_len(), seed ^ 0xFFFF);
+        let mut ws = Workspace::new();
+        for order in [
+            ReduceOrder::Sequential,
+            ReduceOrder::FixedTree,
+            ReduceOrder::Permuted,
+        ] {
+            for lanes in [1, 3, 16, 27, 64] {
+                for amp in [0.0, 512.0] {
+                    let base =
+                        Reducer::new(order, lanes, seed.rotate_left(17)).with_amplification(amp);
+                    let mut ref_red = base.clone();
+                    let (dx, dw, db) = oracle_backward(&x, &w, &dy, g, &mut ref_red);
+                    for threads in [1, 3] {
+                        let what =
+                            format!("{order:?} lanes={lanes} amp={amp} t={threads} n={n} {g:?}");
+                        let mut red = base.clone();
+                        let got =
+                            conv2d_backward_ws(&x, &w, &dy, g, &mut red, threads, &mut ws).unwrap();
+                        for (name, fast, expected) in [
+                            ("dx", got.dx.as_slice(), &dx),
+                            ("dw", got.dw.as_slice(), &dw),
+                            ("db", got.db.as_slice(), &db),
+                        ] {
+                            prop_assert!(fast.len() == expected.len(), "{what}: {name} length");
+                            for (idx, (a, e)) in fast.iter().zip(expected).enumerate() {
+                                prop_assert!(
+                                    a.to_bits() == e.to_bits(),
+                                    "{what}: {name}[{idx}]: {a} vs {e}"
+                                );
+                            }
+                        }
+                        prop_assert!(
+                            red.snapshot() == ref_red.snapshot(),
+                            "{what}: reducer state"
+                        );
+                        let next = red.dot(&probe, &probe).to_bits();
+                        let ref_next = ref_red.clone().dot(&probe, &probe).to_bits();
+                        prop_assert!(next == ref_next, "{what}: next draw");
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Batches whose `n·pixels` weight-gradient chains run past the
+    /// engine's k-block for every tested lane count (the block is
+    /// `lanes·⌈256/lanes⌉ ≤ 270` rows), stride 1 and stride 2 with
+    /// padding, and channel counts below, at and above one panel.
+    #[test]
+    fn backward_matches_per_element_oracle_on_long_batches() {
+        for (g, n) in [
+            (ConvGeometry::new(3, 5, 3, 1, 1, 12, 12), 3),
+            (ConvGeometry::new(2, 4, 3, 2, 1, 16, 16), 5),
+            (ConvGeometry::new(1, 17, 2, 1, 0, 9, 9), 5),
+            // out_c == NR: the weight gradient reads dyᵀ unpacked.
+            (ConvGeometry::new(2, NR, 3, 1, 1, 8, 8), 5),
+        ] {
+            assert!(n * g.out_pixels() > 270, "{g:?} is not past the k-block");
+            check_backward_against_oracle(&g, n, 0x5EED ^ n as u64).unwrap();
+        }
     }
 
     /// Deterministic fill in `[-0.5, 0.5)` with some exact zeros of both
@@ -666,6 +906,21 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// The backward pass is bit-identical to the per-element oracle —
+        /// dW, db and dx — for every order, lane count, amplification and
+        /// thread count, and leaves the reducer where the oracle leaves it.
+        #[test]
+        fn backward_matches_per_element_oracle(
+            (in_c, out_c, k) in (1usize..4, 1usize..6, 1usize..4),
+            (stride, pad, n) in (1usize..3, 0usize..3, 1usize..4),
+            (in_h, in_w) in (2usize..9, 2usize..9),
+            seed in any::<u64>(),
+        ) {
+            prop_assume!(in_h + 2 * pad >= k && in_w + 2 * pad >= k);
+            let g = ConvGeometry::new(in_c, out_c, k, stride, pad, in_h, in_w);
+            check_backward_against_oracle(&g, n, seed)?;
         }
     }
 

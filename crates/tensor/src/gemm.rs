@@ -308,8 +308,18 @@ fn run_band(
                 }
             }
         }
-        ReduceOrder::FixedTree => band_fixed_tree(a, packed, plan.lanes, n, k, row0, rows, band),
-        ReduceOrder::Permuted => band_permuted(a, packed, plan, order, n, k, row0, rows, band),
+        // The lane kernels get a carry only when k spans several k-blocks
+        // (see `for_each_lane_partial`); short-k instances hold none.
+        ReduceOrder::FixedTree if k > k_block(plan.lanes) => {
+            band_fixed_tree::<MAX_LANES>(a, packed, plan.lanes, n, k, row0, rows, band)
+        }
+        ReduceOrder::FixedTree => {
+            band_fixed_tree::<0>(a, packed, plan.lanes, n, k, row0, rows, band)
+        }
+        ReduceOrder::Permuted if k > k_block(plan.lanes) => {
+            band_permuted::<MAX_LANES>(a, packed, plan, order, n, k, row0, rows, band)
+        }
+        ReduceOrder::Permuted => band_permuted::<0>(a, packed, plan, order, n, k, row0, rows, band),
     }
 }
 
@@ -382,42 +392,103 @@ fn tile_rows(a: &[f32], k: usize, first: usize, rm: usize) -> [&[f32]; MR] {
     })
 }
 
-/// Computes the lane-partial vectors of one `rm × NR` tile, one lane at a
-/// time, entirely in registers, invoking `sink(r, lane_partials)` for each
-/// lane in **increasing lane order**.
+/// The lane accumulators of one register tile: `MR × NR` chains.
+type LaneTile = [[f32; NR]; MR];
+
+/// Depth of one k-block of [`for_each_lane_partial`], before rounding up
+/// to a whole number of lane rows: 256 panel rows (16 KiB of B) and
+/// `MR` A-row stretches of 1 KiB stay in L1 while every lane walks them.
+const K_BLOCK: usize = 256;
+
+/// The k-block of an `l`-lane walk: `l·⌈K_BLOCK/l⌉` rows, so every block
+/// starts at a multiple of `l`.
+#[inline]
+fn k_block(l: usize) -> usize {
+    l * K_BLOCK.div_ceil(l)
+}
+
+/// Computes the lane-partial vectors of one `rm × NR` tile, invoking
+/// `sink(r, lane, partial)` for each lane in **increasing lane order**.
 ///
 /// Lane `dl` owns the k indices `dl, dl + l, dl + 2l, …` — the same
 /// assignment as the reference `p[e % l] += a[e] · b[e]` fill — and its
 /// chain is accumulated in increasing-k order, so each invocation hands
-/// the sink the exact reference lane partial. Looping lanes outermost
-/// (instead of materializing an `l × NR` buffer) keeps every accumulator
-/// in registers: the k-strided walks stay inside one row of `a` (≤ a few
-/// KiB) and one packed panel, both L1-resident.
+/// the sink the exact reference lane partial.
+///
+/// k is walked in blocks of [`k_block`]`(l)` rows, lane by lane inside a
+/// block, with each lane's accumulator tile carried over to the next
+/// block through `carry` (the caller's per-band scratch). Blocks start at
+/// multiples of `l`, so lane `dl` still visits exactly `kk ≡ dl (mod l)`
+/// in increasing order and every chain is unchanged; what changes is that
+/// all lanes of a block re-read the same few KiB of A and B from L1,
+/// instead of each lane streaming the whole depth (megabytes for the
+/// conv weight gradient, where k = n·pixels).
+///
+/// A k of at most one block needs no carry: each lane's tile lives in
+/// registers from its first term to its sink call. Callers then pass an
+/// empty carry (`CARRY == 0`), which compiles the blocked walk out of the
+/// kernel altogether; a carry of `MAX_LANES` tiles in the same stack
+/// frame measurably slowed the short-k kernels.
 #[inline(always)]
-fn for_each_lane_partial(
+fn for_each_lane_partial<const CARRY: usize>(
     arows: &[&[f32]; MR],
     panel: &[f32],
     l: usize,
     k: usize,
     rm: usize,
+    carry: &mut [LaneTile; CARRY],
     mut sink: impl FnMut(usize, usize, &[f32; NR]),
 ) {
-    for dl in 0..l {
-        let mut lane = [[0f32; NR]; MR];
-        let mut kk = dl;
-        while kk < k {
-            let pr = panel_row(panel, kk);
-            for r in 0..MR {
-                let av = arows[r][kk];
-                for j in 0..NR {
-                    lane[r][j] += av * pr[j];
-                }
+    let block = k_block(l);
+    if CARRY == 0 {
+        debug_assert!(k <= block, "a multi-block walk needs a carry");
+        for dl in 0..l {
+            let mut lane = [[0f32; NR]; MR];
+            lane_chain(arows, panel, &mut lane, dl, k, l);
+            for (r, partial) in lane.iter().enumerate().take(rm) {
+                sink(r, dl, partial);
             }
-            kk += l;
         }
+        return;
+    }
+    let carry = &mut carry[..l];
+    let mut k0 = 0;
+    while k0 < k {
+        let k1 = (k0 + block).min(k);
+        for (dl, tile) in carry.iter_mut().enumerate() {
+            let mut lane = if k0 == 0 { [[0f32; NR]; MR] } else { *tile };
+            lane_chain(arows, panel, &mut lane, k0 + dl, k1, l);
+            *tile = lane;
+        }
+        k0 = k1;
+    }
+    for (dl, lane) in carry.iter().enumerate() {
         for (r, partial) in lane.iter().enumerate().take(rm) {
             sink(r, dl, partial);
         }
+    }
+}
+
+/// Advances one lane's chains over `kk = start, start + l, … < end`.
+#[inline(always)]
+fn lane_chain(
+    arows: &[&[f32]; MR],
+    panel: &[f32],
+    lane: &mut LaneTile,
+    start: usize,
+    end: usize,
+    l: usize,
+) {
+    let mut kk = start;
+    while kk < end {
+        let pr = panel_row(panel, kk);
+        for r in 0..MR {
+            let av = arows[r][kk];
+            for j in 0..NR {
+                lane[r][j] += av * pr[j];
+            }
+        }
+        kk += l;
     }
 }
 
@@ -425,9 +496,11 @@ fn for_each_lane_partial(
 /// running sum starts at 0.0 and folds each lane partial in increasing
 /// lane order — bit-identical to the reference
 /// `p[..l].iter().sum::<f32>()` — with all `NR` output columns advancing
-/// together so the combine vectorizes across columns.
+/// together so the combine vectorizes across columns. `CARRY` is the
+/// lane-carry capacity [`for_each_lane_partial`] gets: 0 when k fits one
+/// k-block, else `MAX_LANES`.
 #[allow(clippy::too_many_arguments)]
-fn band_fixed_tree(
+fn band_fixed_tree<const CARRY: usize>(
     a: &[f32],
     packed: &[f32],
     l: usize,
@@ -438,6 +511,7 @@ fn band_fixed_tree(
     band: &mut [f32],
 ) {
     let panels = n.div_ceil(NR);
+    let mut carry = [[[0f32; NR]; MR]; CARRY];
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
@@ -447,7 +521,7 @@ fn band_fixed_tree(
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
             let mut s = [[0f32; NR]; MR];
-            for_each_lane_partial(&arows, panel, l, k, rm, |r, _dl, partial| {
+            for_each_lane_partial(&arows, panel, l, k, rm, &mut carry, |r, _dl, partial| {
                 for j in 0..NR {
                     s[r][j] += partial[j];
                 }
@@ -478,9 +552,9 @@ fn band_fixed_tree(
 ///
 /// Outside its window an output keeps its running sum through a bitwise
 /// select rather than by adding `0.0`, which is not the identity on
-/// `-0.0`; see [`add_where`].
+/// `-0.0`; see [`add_where`]. `CARRY` is as for [`band_fixed_tree`].
 #[allow(clippy::too_many_arguments)]
-fn band_permuted(
+fn band_permuted<const CARRY: usize>(
     a: &[f32],
     packed: &[f32],
     plan: &DotPlan,
@@ -493,6 +567,7 @@ fn band_permuted(
 ) {
     let l = plan.lanes;
     let panels = n.div_ceil(NR);
+    let mut carry = [[[0f32; NR]; MR]; CARRY];
     // Lane partials of one tile, lane-major: `lanebuf[lane][r * NR + j]`.
     // Lanes `l..` are never read. The first `rm` rows of lanes `..l` are
     // written once per tile before they are read; the remaining rows hold
@@ -510,7 +585,7 @@ fn band_permuted(
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
-            for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
+            for_each_lane_partial(&arows, panel, l, k, rm, &mut carry, |r, dl, partial| {
                 lanebuf[dl][r * NR..(r + 1) * NR].copy_from_slice(partial);
             });
             // Each output's spec, drawn from its spec index. Rows past

@@ -170,6 +170,60 @@ proptest! {
         );
     }
 
+    /// Long reductions, as in the conv weight gradient (k = n·pixels):
+    /// k runs past the lane kernels' k-block (`lanes·⌈256/lanes⌉` rows)
+    /// and is not a multiple of any tested lane count, so chains cross
+    /// block boundaries mid-lane and end in a partial lane row. All three
+    /// entry points stay bit-identical to the reference, with the same
+    /// invocation count and the same next draw.
+    #[test]
+    fn blocked_gemm_long_k_bit_identical_to_reference(
+        m in 1usize..10,
+        k in 250usize..1100,
+        n in 1usize..20,
+        salt in any::<u64>(),
+    ) {
+        let lane_counts = [3, 16, 40, 64];
+        prop_assume!(lane_counts.iter().all(|l| k % l != 0));
+        let mut ws = Workspace::new();
+        let probe = tensor_of(1, k, salt.wrapping_add(8));
+        let (a_mk, b_kn) = (tensor_of(m, k, salt), tensor_of(k, n, salt.wrapping_add(1)));
+        let (a_km, b_nk) = (tensor_of(k, m, salt.wrapping_add(2)), tensor_of(n, k, salt.wrapping_add(3)));
+        for order in [ReduceOrder::Sequential, ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+            for lanes in lane_counts {
+                for amp in [0.0, 512.0] {
+                    let base = Reducer::new(order, lanes, salt ^ 0x10c6).with_amplification(amp);
+                    for threads in [1, 3] {
+                        for form in ["a_b", "at_b", "a_bt"] {
+                            let mut fast_red = base.clone();
+                            let mut ref_red = base.clone();
+                            let (fast, reference) = match form {
+                                "a_b" => (
+                                    nstensor::matmul_ws(&a_mk, &b_kn, &mut fast_red, threads, &mut ws),
+                                    nstensor::matmul_reference(&a_mk, &b_kn, &mut ref_red),
+                                ),
+                                "at_b" => (
+                                    nstensor::matmul_at_b_ws(&a_km, &b_kn, &mut fast_red, threads, &mut ws),
+                                    nstensor::matmul_at_b_reference(&a_km, &b_kn, &mut ref_red),
+                                ),
+                                _ => (
+                                    nstensor::matmul_a_bt_ws(&a_mk, &b_nk, &mut fast_red, threads, &mut ws),
+                                    nstensor::matmul_a_bt_reference(&a_mk, &b_nk, &mut ref_red),
+                                ),
+                            };
+                            assert_tensor_bits(&fast.unwrap(), &reference.unwrap())?;
+                            prop_assert_eq!(fast_red.invocations(), ref_red.invocations());
+                            prop_assert_eq!(
+                                fast_red.dot(probe.as_slice(), probe.as_slice()).to_bits(),
+                                ref_red.dot(probe.as_slice(), probe.as_slice()).to_bits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Same bit-identity contract for the transposed entry points.
     #[test]
     fn blocked_gemm_transposed_forms_bit_identical(
