@@ -123,7 +123,7 @@ impl ConvGeometry {
     }
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`conv2d_backward_ws`].
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
     /// Gradient w.r.t. the input, `[N, C, H, W]`.
@@ -343,30 +343,12 @@ fn col2im(dcol: &[f32], g: &ConvGeometry, out: &mut [f32]) {
     }
 }
 
-/// Forward 2-D convolution.
+/// Forward 2-D convolution on the blocked engine, reusing `ws` scratch
+/// and running output row bands on up to `threads` threads.
 ///
 /// `input` is `[N, in_c, in_h, in_w]`, `weights` is `[out_c, patch_len]`
 /// (flattened `[out_c, in_c, k, k]`), `bias` is `[out_c]`. Returns
 /// `[N, out_c, out_h, out_w]`.
-///
-/// Allocates private scratch; hot paths should use
-/// [`conv2d_forward_ws`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if any operand disagrees with `geom`.
-pub fn conv2d_forward(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-    geom: &ConvGeometry,
-    red: &mut Reducer,
-) -> Result<Tensor, ShapeError> {
-    conv2d_forward_ws(input, weights, bias, geom, red, 1, &mut Workspace::new())
-}
-
-/// Forward 2-D convolution on the blocked engine, reusing `ws` scratch
-/// and running output row bands on up to `threads` threads.
 ///
 /// Bit-identical, for every reducer configuration and thread count, to
 /// the per-element definition: per sample, im2col, then one
@@ -425,32 +407,14 @@ pub fn conv2d_forward_ws(
     Ok(out)
 }
 
-/// Backward 2-D convolution: gradients w.r.t. input, weights and bias.
+/// Backward 2-D convolution on the blocked engine: gradients w.r.t.
+/// input, weights and bias. See [`conv2d_forward_ws`] for the
+/// engine/workspace contract.
 ///
 /// The weight gradient is computed as a *single* matmul whose inner
 /// dimension spans every (sample, pixel) pair in the batch — the exact
 /// cross-data-point reduction whose accumulation order the paper identifies
 /// as a latent implementation-noise source.
-///
-/// Allocates private scratch; hot paths should use
-/// [`conv2d_backward_ws`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if any operand disagrees with `geom`.
-pub fn conv2d_backward(
-    input: &Tensor,
-    weights: &Tensor,
-    dy: &Tensor,
-    geom: &ConvGeometry,
-    red: &mut Reducer,
-) -> Result<Conv2dGrads, ShapeError> {
-    conv2d_backward_ws(input, weights, dy, geom, red, 1, &mut Workspace::new())
-}
-
-/// Backward 2-D convolution on the blocked engine. See
-/// [`conv2d_backward`] for the math and [`conv2d_forward_ws`] for the
-/// engine/workspace contract.
 ///
 /// The weight and bias gradients are [`conv2d_weight_grads_ws`], which
 /// fixes the reducer call order: the dW GEMM's `out_c × patch_len`
@@ -990,7 +954,9 @@ mod tests {
         for (k, stride, pad) in [(3, 1, 1), (1, 1, 0), (3, 2, 1), (5, 1, 2)] {
             let g = ConvGeometry::new(2, 3, k, stride, pad, 6, 6);
             let (x, w, b) = setup(&g, 2);
-            let y = conv2d_forward(&x, &w, &b, &g, &mut Reducer::sequential()).unwrap();
+            let mut ws = Workspace::new();
+            let y =
+                conv2d_forward_ws(&x, &w, &b, &g, &mut Reducer::sequential(), 1, &mut ws).unwrap();
             let r = reference_conv(&x, &w, &b, &g);
             for (a, e) in y.as_slice().iter().zip(&r) {
                 assert!((*a as f64 - e).abs() < 1e-4, "k={k}: {a} vs {e}");
@@ -1010,10 +976,11 @@ mod tests {
             ReduceOrder::Permuted,
         ] {
             let base = Reducer::new(order, 40, 9).with_amplification(1e3);
-            let y0 = conv2d_forward(&x, &w, &b, &g, &mut base.clone()).unwrap();
+            let mut fresh = Workspace::new();
+            let y0 = conv2d_forward_ws(&x, &w, &b, &g, &mut base.clone(), 1, &mut fresh).unwrap();
             let mut dy = y0.clone();
             dy.scale(0.5);
-            let g0 = conv2d_backward(&x, &w, &dy, &g, &mut base.clone()).unwrap();
+            let g0 = conv2d_backward_ws(&x, &w, &dy, &g, &mut base.clone(), 1, &mut fresh).unwrap();
             let mut ws = Workspace::new();
             for threads in [1, 3] {
                 // Reuse the same workspace across iterations: recycled
@@ -1050,14 +1017,17 @@ mod tests {
         let g = ConvGeometry::new(2, 2, 3, 1, 1, 4, 4);
         let (x, w, b) = setup(&g, 2);
         let n = 2;
+        let mut ws = Workspace::new();
         // Scalar loss L = Σ y², so dL/dy = 2y.
-        let y = conv2d_forward(&x, &w, &b, &g, &mut Reducer::sequential()).unwrap();
+        let y = conv2d_forward_ws(&x, &w, &b, &g, &mut Reducer::sequential(), 1, &mut ws).unwrap();
         let mut dy = y.clone();
         dy.scale(2.0);
-        let grads = conv2d_backward(&x, &w, &dy, &g, &mut Reducer::sequential()).unwrap();
+        let grads =
+            conv2d_backward_ws(&x, &w, &dy, &g, &mut Reducer::sequential(), 1, &mut ws).unwrap();
 
         let loss = |x: &Tensor, w: &Tensor, b: &Tensor| -> f64 {
-            let y = conv2d_forward(x, w, b, &g, &mut Reducer::sequential()).unwrap();
+            let mut red = Reducer::sequential();
+            let y = conv2d_forward_ws(x, w, b, &g, &mut red, 1, &mut Workspace::new()).unwrap();
             y.as_slice().iter().map(|&v| (v as f64) * (v as f64)).sum()
         };
         let eps = 1e-2f32;
@@ -1105,13 +1075,14 @@ mod tests {
     fn shape_validation_errors() {
         let g = ConvGeometry::new(2, 3, 3, 1, 1, 4, 4);
         let (x, w, b) = setup(&g, 1);
+        let (mut red, mut ws) = (Reducer::sequential(), Workspace::new());
         let bad_w = Tensor::zeros(Shape::of(&[3, 10]));
-        assert!(conv2d_forward(&x, &bad_w, &b, &g, &mut Reducer::sequential()).is_err());
+        assert!(conv2d_forward_ws(&x, &bad_w, &b, &g, &mut red, 1, &mut ws).is_err());
         let bad_b = Tensor::zeros(Shape::of(&[4]));
-        assert!(conv2d_forward(&x, &w, &bad_b, &g, &mut Reducer::sequential()).is_err());
+        assert!(conv2d_forward_ws(&x, &w, &bad_b, &g, &mut red, 1, &mut ws).is_err());
         let bad_x = Tensor::zeros(Shape::of(&[1, 1, 4, 4]));
-        assert!(conv2d_forward(&bad_x, &w, &b, &g, &mut Reducer::sequential()).is_err());
+        assert!(conv2d_forward_ws(&bad_x, &w, &b, &g, &mut red, 1, &mut ws).is_err());
         let bad_dy = Tensor::zeros(Shape::of(&[1, 3, 9, 9]));
-        assert!(conv2d_backward(&x, &w, &bad_dy, &g, &mut Reducer::sequential()).is_err());
+        assert!(conv2d_backward_ws(&x, &w, &bad_dy, &g, &mut red, 1, &mut ws).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Cache-blocked, packed GEMM engine that is bit-identical to the
-//! per-element reference path in [`crate::linalg`] for every
-//! [`ReduceOrder`].
+//! per-element reference path (one [`Reducer::dot`] per output, in
+//! row-major order) for every [`ReduceOrder`].
 //!
 //! # Why a blocked engine can be bit-identical at all
 //!
@@ -50,13 +50,25 @@ use crate::workspace::Workspace;
 
 /// Computes `C = A × B` through the blocked engine.
 ///
-/// Bit-identical to [`crate::linalg::matmul`] for any reducer state, but
-/// uses `ws` for scratch and runs row bands on up to `threads` threads.
+/// Bit-identical, for any reducer state, to one [`Reducer::dot`] per
+/// output in row-major order, but uses `ws` for scratch and runs row
+/// bands on up to `threads` threads.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if the operands are not rank 2 or the inner
 /// dimensions disagree.
+///
+/// # Example
+///
+/// ```
+/// use nstensor::{matmul_ws, Reducer, Shape, Tensor, Workspace};
+/// let a = Tensor::from_vec(Shape::of(&[2, 2]), vec![1.0, 2.0, 3.0, 4.0])?;
+/// let b = Tensor::from_vec(Shape::of(&[2, 2]), vec![5.0, 6.0, 7.0, 8.0])?;
+/// let c = matmul_ws(&a, &b, &mut Reducer::sequential(), 1, &mut Workspace::new())?;
+/// assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+/// # Ok::<(), nstensor::ShapeError>(())
+/// ```
 pub fn matmul_ws(
     a: &Tensor,
     b: &Tensor,
@@ -92,7 +104,7 @@ pub fn matmul_ws(
 
 /// Computes `C = Aᵀ × B` through the blocked engine.
 ///
-/// Bit-identical to [`crate::linalg::matmul_at_b`].
+/// Bit-identical to one [`Reducer::dot`] per output in row-major order.
 ///
 /// # Errors
 ///
@@ -127,7 +139,8 @@ pub fn matmul_at_b_ws(
 
 /// Computes `C = A × Bᵀ` through the blocked engine.
 ///
-/// Bit-identical to [`crate::linalg::matmul_a_bt`]. This is the engine's
+/// Bit-identical to one [`Reducer::dot`] per output in row-major order.
+/// This is the engine's
 /// native operand layout (`B`'s rows are already the output columns), so
 /// no transpose scratch is needed.
 ///
@@ -493,9 +506,9 @@ fn lane_chain(
 }
 
 /// [`ReduceOrder::FixedTree`] micro-kernel: no lane buffer at all. The
-/// running sum starts at 0.0 and folds each lane partial in increasing
-/// lane order — bit-identical to the reference
-/// `p[..l].iter().sum::<f32>()` — with all `NR` output columns advancing
+/// running sum starts at +0.0 and folds each lane partial in increasing
+/// lane order — bit-identical to the reference combine
+/// `sum_ordered_f32(p[..l])` — with all `NR` output columns advancing
 /// together so the combine vectorizes across columns. `CARRY` is the
 /// lane-carry capacity [`for_each_lane_partial`] gets: 0 when k fits one
 /// k-block, else `MAX_LANES`.
@@ -684,6 +697,7 @@ fn check_rank2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<(), ShapeErro
 mod tests {
     use super::*;
     use crate::linalg::{matmul_a_bt_reference, matmul_at_b_reference, matmul_reference};
+    use proptest::prelude::*;
 
     fn filled(rows: usize, cols: usize, salt: u64) -> Tensor {
         let mut seed = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -711,6 +725,22 @@ mod tests {
             }
         }
         v
+    }
+
+    fn reduce_order() -> impl Strategy<Value = ReduceOrder> {
+        (0usize..3).prop_map(|i| match i {
+            0 => ReduceOrder::Sequential,
+            1 => ReduceOrder::FixedTree,
+            _ => ReduceOrder::Permuted,
+        })
+    }
+
+    fn assert_tensor_bits(a: &Tensor, b: &Tensor) -> Result<(), TestCaseError> {
+        prop_assert_eq!(a.shape(), b.shape());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+        Ok(())
     }
 
     fn assert_bits_eq(fast: &Tensor, reference: &Tensor, what: &str) {
@@ -817,5 +847,122 @@ mod tests {
         let b3 = filled(3, 2, 13);
         assert!(matmul_at_b_ws(&a, &b3, &mut red, 1, &mut ws).is_err());
         assert!(matmul_a_bt_ws(&a, &b, &mut red, 1, &mut ws).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The blocked GEMM engine is bit-identical to the per-element
+        /// reference path for every accumulation order, lane count,
+        /// amplification tier and thread count — and leaves the reducer in
+        /// the same state (RNG position + invocation count), so subsequent
+        /// ops stay in sync too.
+        #[test]
+        fn blocked_gemm_bit_identical_to_reference(
+            m in 1usize..24,
+            k in 0usize..80,
+            n in 1usize..24,
+            order in reduce_order(),
+            lanes in 1usize..MAX_LANES + 1,
+            amp in (0usize..2).prop_map(|i| if i == 0 { 0.0f32 } else { 1e4 }),
+            threads in 1usize..5,
+            salt in any::<u64>(),
+        ) {
+            let a = filled(m, k, salt);
+            let b = filled(k, n, salt.wrapping_add(1));
+            let base = Reducer::new(order, lanes, salt ^ 0xda7a).with_amplification(amp);
+            let mut fast_red = base.clone();
+            let mut ref_red = base.clone();
+            let mut ws = Workspace::new();
+            let fast = matmul_ws(&a, &b, &mut fast_red, threads, &mut ws).unwrap();
+            let reference = matmul_reference(&a, &b, &mut ref_red).unwrap();
+            assert_tensor_bits(&fast, &reference)?;
+            prop_assert_eq!(fast_red.invocations(), ref_red.invocations());
+            // Probe: the *next* reduction must agree bitwise, proving the
+            // scheduler RNG advanced identically on both paths.
+            let probe = filled(1, k.max(1), salt.wrapping_add(2));
+            prop_assert_eq!(
+                fast_red.dot(probe.as_slice(), probe.as_slice()).to_bits(),
+                ref_red.dot(probe.as_slice(), probe.as_slice()).to_bits()
+            );
+        }
+
+        /// Long reductions, as in the conv weight gradient (k = n·pixels):
+        /// k runs past the lane kernels' k-block (`lanes·⌈256/lanes⌉` rows)
+        /// and is not a multiple of any tested lane count, so chains cross
+        /// block boundaries mid-lane and end in a partial lane row. All three
+        /// entry points stay bit-identical to the reference, with the same
+        /// invocation count and the same next draw.
+        #[test]
+        fn blocked_gemm_long_k_bit_identical_to_reference(
+            m in 1usize..10,
+            k in 250usize..1100,
+            n in 1usize..20,
+            salt in any::<u64>(),
+        ) {
+            let lane_counts = [3, 16, 40, 64];
+            prop_assume!(lane_counts.iter().all(|l| k % l != 0));
+            let mut ws = Workspace::new();
+            let probe = filled(1, k, salt.wrapping_add(8));
+            let (a_mk, b_kn) = (filled(m, k, salt), filled(k, n, salt.wrapping_add(1)));
+            let (a_km, b_nk) = (filled(k, m, salt.wrapping_add(2)), filled(n, k, salt.wrapping_add(3)));
+            for order in [ReduceOrder::Sequential, ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+                for lanes in lane_counts {
+                    for amp in [0.0, 512.0] {
+                        let base = Reducer::new(order, lanes, salt ^ 0x10c6).with_amplification(amp);
+                        for threads in [1, 3] {
+                            for form in ["a_b", "at_b", "a_bt"] {
+                                let mut fast_red = base.clone();
+                                let mut ref_red = base.clone();
+                                let (fast, reference) = match form {
+                                    "a_b" => (
+                                        matmul_ws(&a_mk, &b_kn, &mut fast_red, threads, &mut ws),
+                                        matmul_reference(&a_mk, &b_kn, &mut ref_red),
+                                    ),
+                                    "at_b" => (
+                                        matmul_at_b_ws(&a_km, &b_kn, &mut fast_red, threads, &mut ws),
+                                        matmul_at_b_reference(&a_km, &b_kn, &mut ref_red),
+                                    ),
+                                    _ => (
+                                        matmul_a_bt_ws(&a_mk, &b_nk, &mut fast_red, threads, &mut ws),
+                                        matmul_a_bt_reference(&a_mk, &b_nk, &mut ref_red),
+                                    ),
+                                };
+                                assert_tensor_bits(&fast.unwrap(), &reference.unwrap())?;
+                                prop_assert_eq!(fast_red.invocations(), ref_red.invocations());
+                                prop_assert_eq!(
+                                    fast_red.dot(probe.as_slice(), probe.as_slice()).to_bits(),
+                                    ref_red.dot(probe.as_slice(), probe.as_slice()).to_bits()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Same bit-identity contract for the transposed entry points.
+        #[test]
+        fn blocked_gemm_transposed_forms_bit_identical(
+            m in 1usize..16,
+            k in 1usize..48,
+            n in 1usize..16,
+            order in reduce_order(),
+            threads in 1usize..4,
+            salt in any::<u64>(),
+        ) {
+            let base = Reducer::new(order, 40, salt ^ 0x5eed).with_amplification(2e3);
+            let mut ws = Workspace::new();
+            let a = filled(k, m, salt);
+            let b = filled(k, n, salt.wrapping_add(3));
+            let fast = matmul_at_b_ws(&a, &b, &mut base.clone(), threads, &mut ws).unwrap();
+            let reference = matmul_at_b_reference(&a, &b, &mut base.clone()).unwrap();
+            assert_tensor_bits(&fast, &reference)?;
+            let a = filled(m, k, salt.wrapping_add(4));
+            let b = filled(n, k, salt.wrapping_add(5));
+            let fast = matmul_a_bt_ws(&a, &b, &mut base.clone(), threads, &mut ws).unwrap();
+            let reference = matmul_a_bt_reference(&a, &b, &mut base.clone()).unwrap();
+            assert_tensor_bits(&fast, &reference)?;
+        }
     }
 }

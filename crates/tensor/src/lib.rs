@@ -49,7 +49,8 @@
 pub mod conv;
 pub mod error;
 pub mod gemm;
-pub mod linalg;
+#[cfg(test)]
+mod linalg;
 pub mod ops;
 pub mod pack;
 pub mod pool;
@@ -59,15 +60,10 @@ pub mod tensor;
 pub mod workspace;
 
 pub use conv::{
-    conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_ws, conv2d_weight_grads_ws,
-    Conv2dGrads, ConvGeometry,
+    conv2d_backward_ws, conv2d_forward_ws, conv2d_weight_grads_ws, Conv2dGrads, ConvGeometry,
 };
 pub use error::ShapeError;
 pub use gemm::{matmul_a_bt_ws, matmul_at_b_ws, matmul_ws};
-pub use linalg::{
-    matmul, matmul_a_bt, matmul_a_bt_reference, matmul_at_b, matmul_at_b_reference,
-    matmul_reference,
-};
 pub use pool::{
     global_avg_pool_backward, global_avg_pool_forward, maxpool2d_backward, maxpool2d_forward,
 };

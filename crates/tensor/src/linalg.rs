@@ -1,67 +1,11 @@
-//! Matrix multiplication with explicit accumulation order.
-//!
-//! The inner `k`-dimension reduction of every output element flows through
-//! the [`Reducer`], so a nondeterministic device genuinely changes the
-//! floating-point accumulation order of the matmul — the dominant source of
-//! implementation noise on GPUs (split-K and atomic-accumulation kernels).
-//!
-//! Since the blocked engine landed, the public entry points here are thin
-//! wrappers over [`crate::gemm`]: same signatures, same bits, much faster.
-//! The original per-element `*_reference` implementations are kept as the
-//! oracle the engine is property-tested against (see `crate::gemm` tests
-//! and `tests/proptests.rs`).
+//! Per-element reference matmuls: one [`Reducer::dot`] per output, in
+//! row-major order. Test-only — they are the oracle the blocked engine in
+//! [`crate::gemm`] is property-tested against, bit for bit.
 
 use crate::error::ShapeError;
-use crate::gemm;
 use crate::reduce::Reducer;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
-
-/// Computes `C = A × B` for row-major rank-2 tensors.
-///
-/// Runs on the blocked engine ([`crate::gemm::matmul_ws`]) with a private
-/// single-threaded workspace; hot paths that call repeatedly should use
-/// the `_ws` variant directly to reuse scratch buffers.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the operands are not rank 2 or the inner
-/// dimensions disagree.
-///
-/// # Example
-///
-/// ```
-/// use nstensor::{matmul, Reducer, Shape, Tensor};
-/// let a = Tensor::from_vec(Shape::of(&[2, 2]), vec![1.0, 2.0, 3.0, 4.0])?;
-/// let b = Tensor::from_vec(Shape::of(&[2, 2]), vec![5.0, 6.0, 7.0, 8.0])?;
-/// let c = matmul(&a, &b, &mut Reducer::sequential())?;
-/// assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-/// # Ok::<(), nstensor::ShapeError>(())
-/// ```
-pub fn matmul(a: &Tensor, b: &Tensor, red: &mut Reducer) -> Result<Tensor, ShapeError> {
-    gemm::matmul_ws(a, b, red, 1, &mut Workspace::new())
-}
-
-/// Computes `C = Aᵀ × B`. See [`matmul`] for the engine/workspace notes.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the operands are not rank 2 or `A`'s rows do
-/// not match `B`'s rows.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor, red: &mut Reducer) -> Result<Tensor, ShapeError> {
-    gemm::matmul_at_b_ws(a, b, red, 1, &mut Workspace::new())
-}
-
-/// Computes `C = A × Bᵀ`. See [`matmul`] for the engine/workspace notes.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the operands are not rank 2 or the column
-/// counts disagree.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor, red: &mut Reducer) -> Result<Tensor, ShapeError> {
-    gemm::matmul_a_bt_ws(a, b, red, 1, &mut Workspace::new())
-}
 
 /// Per-element reference `C = A × B`: one [`Reducer::dot`] per output, in
 /// row-major order. The bit-identity oracle for the blocked engine.
@@ -185,7 +129,9 @@ fn transpose_data(t: &Tensor) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{matmul_a_bt_ws, matmul_at_b_ws, matmul_ws};
     use crate::reduce::ReduceOrder;
+    use crate::workspace::Workspace;
 
     fn t(rows: usize, cols: usize, data: Vec<f32>) -> Tensor {
         Tensor::from_vec(Shape::of(&[rows, cols]), data).unwrap()
@@ -193,55 +139,62 @@ mod tests {
 
     #[test]
     fn small_matmul_reference() {
+        let mut ws = Workspace::new();
         let a = t(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = t(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = matmul(&a, &b, &mut Reducer::sequential()).unwrap();
+        let c = matmul_ws(&a, &b, &mut Reducer::sequential(), 1, &mut ws).unwrap();
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn identity_is_neutral() {
+        let mut ws = Workspace::new();
         let a = t(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let i = t(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        let c = matmul(&a, &i, &mut Reducer::sequential()).unwrap();
+        let c = matmul_ws(&a, &i, &mut Reducer::sequential(), 1, &mut ws).unwrap();
         assert_eq!(c.as_slice(), a.as_slice());
     }
 
     #[test]
     fn inner_dim_mismatch_is_error() {
+        let mut ws = Workspace::new();
         let a = t(2, 3, vec![0.0; 6]);
         let b = t(2, 2, vec![0.0; 4]);
-        assert!(matmul(&a, &b, &mut Reducer::sequential()).is_err());
+        assert!(matmul_ws(&a, &b, &mut Reducer::sequential(), 1, &mut ws).is_err());
         assert!(matmul_reference(&a, &b, &mut Reducer::sequential()).is_err());
     }
 
     #[test]
     fn rank_check() {
+        let mut ws = Workspace::new();
         let a = Tensor::zeros(Shape::of(&[2, 2, 1, 1]));
         let b = Tensor::zeros(Shape::of(&[2, 2]));
-        assert!(matmul(&a, &b, &mut Reducer::sequential()).is_err());
+        assert!(matmul_ws(&a, &b, &mut Reducer::sequential(), 1, &mut ws).is_err());
         assert!(matmul_reference(&a, &b, &mut Reducer::sequential()).is_err());
     }
 
     #[test]
     fn at_b_matches_explicit_transpose() {
+        let mut ws = Workspace::new();
         let a = t(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]); // Aᵀ is 2x3 [1,2,3;4,5,6]
         let b = t(3, 2, vec![7.0, 10.0, 8.0, 11.0, 9.0, 12.0]);
-        let c = matmul_at_b(&a, &b, &mut Reducer::sequential()).unwrap();
+        let c = matmul_at_b_ws(&a, &b, &mut Reducer::sequential(), 1, &mut ws).unwrap();
         // Aᵀ·B = [[1,2,3],[4,5,6]] × [[7,10],[8,11],[9,12]]
         assert_eq!(c.as_slice(), &[50.0, 68.0, 122.0, 167.0]);
     }
 
     #[test]
     fn a_bt_matches_explicit_transpose() {
+        let mut ws = Workspace::new();
         let a = t(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = t(2, 3, vec![7.0, 9.0, 11.0, 8.0, 10.0, 12.0]); // Bᵀ = [[7,8],[9,10],[11,12]]
-        let c = matmul_a_bt(&a, &b, &mut Reducer::sequential()).unwrap();
+        let c = matmul_a_bt_ws(&a, &b, &mut Reducer::sequential(), 1, &mut ws).unwrap();
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn permuted_order_stays_close_to_reference() {
+        let mut ws = Workspace::new();
         let n = 24;
         let a = t(
             n,
@@ -253,9 +206,9 @@ mod tests {
             n,
             (0..n * n).map(|i| ((i % 7) as f32 - 3.0) * 0.2).collect(),
         );
-        let reference = matmul(&a, &b, &mut Reducer::sequential()).unwrap();
+        let reference = matmul_ws(&a, &b, &mut Reducer::sequential(), 1, &mut ws).unwrap();
         let mut red = Reducer::new(ReduceOrder::Permuted, 32, 77);
-        let c = matmul(&a, &b, &mut red).unwrap();
+        let c = matmul_ws(&a, &b, &mut red, 1, &mut ws).unwrap();
         for (x, y) in c.as_slice().iter().zip(reference.as_slice()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
@@ -263,13 +216,14 @@ mod tests {
 
     #[test]
     fn fixed_tree_matmul_is_bitwise_stable() {
+        let mut ws = Workspace::new();
         let n = 16;
         let a = t(n, n, (0..n * n).map(|i| (i as f32).sin()).collect());
         let b = t(n, n, (0..n * n).map(|i| (i as f32).cos()).collect());
         let mut r1 = Reducer::new(ReduceOrder::FixedTree, 32, 1);
         let mut r2 = Reducer::new(ReduceOrder::FixedTree, 32, 2);
-        let c1 = matmul(&a, &b, &mut r1).unwrap();
-        let c2 = matmul(&a, &b, &mut r2).unwrap();
+        let c1 = matmul_ws(&a, &b, &mut r1, 1, &mut ws).unwrap();
+        let c2 = matmul_ws(&a, &b, &mut r2, 1, &mut ws).unwrap();
         assert_eq!(c1.as_slice(), c2.as_slice());
     }
 }

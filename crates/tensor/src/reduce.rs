@@ -165,11 +165,11 @@ impl Reducer {
             return f32::NAN;
         }
         match self.order {
-            ReduceOrder::Sequential => xs.iter().sum(),
+            ReduceOrder::Sequential => sum_ordered_f32(xs.iter().copied()),
             ReduceOrder::FixedTree => {
                 let mut p = [0f32; MAX_LANES];
                 let l = self.fill_lanes_sum(xs, &mut p);
-                p[..l].iter().sum()
+                sum_ordered_f32(p[..l].iter().copied())
             }
             ReduceOrder::Permuted => {
                 let mut p = [0f32; MAX_LANES];
@@ -202,7 +202,7 @@ impl Reducer {
             ReduceOrder::FixedTree => {
                 let mut p = [0f32; MAX_LANES];
                 let l = self.fill_lanes_dot(a, b, &mut p);
-                p[..l].iter().sum()
+                sum_ordered_f32(p[..l].iter().copied())
             }
             ReduceOrder::Permuted => {
                 let mut p = [0f32; MAX_LANES];
@@ -240,7 +240,7 @@ impl Reducer {
                     idx += stride;
                 }
                 if self.order == ReduceOrder::FixedTree {
-                    p[..lane_count].iter().sum()
+                    sum_ordered_f32(p[..lane_count].iter().copied())
                 } else {
                     self.combine_permuted(&mut p[..lane_count])
                 }
@@ -504,7 +504,9 @@ impl Reducer {
 /// Fixed-order (left-to-right) `f64` summation for aggregation and
 /// reporting paths.
 ///
-/// Bit-identical to `Iterator::sum::<f64>()` over the same sequence; the
+/// The fold starts at `+0.0`, so an empty or all-`-0.0` input sums to
+/// `+0.0`. (`Iterator::sum` may start at `-0.0` instead and return
+/// `-0.0` there; on every other input the two agree bit for bit.) The
 /// point of routing through this function is that the evaluation order is
 /// explicit and lives in the one module audited for it. detlint rule DL004
 /// flags ad-hoc float reductions and exempts this module, so every float
@@ -809,6 +811,30 @@ mod tests {
         assert!(ReduceOrder::Sequential.is_deterministic());
         assert!(ReduceOrder::FixedTree.is_deterministic());
         assert!(!ReduceOrder::Permuted.is_deterministic());
+    }
+
+    #[test]
+    fn signed_zero_sums_agree_across_entry_points() {
+        // All three entry points start from +0.0, so a sum of nothing or
+        // of negative zeros is +0.0 whichever one computes it.
+        let neg = [-0.0f32; 5];
+        let ones = [1.0f32; 5];
+        for order in [
+            ReduceOrder::Sequential,
+            ReduceOrder::FixedTree,
+            ReduceOrder::Permuted,
+        ] {
+            let mut r = Reducer::new(order, 4, 9);
+            for (xs, ys) in [(&neg[..], &ones[..]), (&[][..], &[][..])] {
+                let n = xs.len();
+                let bits = [
+                    r.sum(xs).to_bits(),
+                    r.sum_strided(xs, 0, 1, n).to_bits(),
+                    r.dot(xs, ys).to_bits(),
+                ];
+                assert_eq!(bits, [0.0f32.to_bits(); 3], "{order:?} n={n}");
+            }
+        }
     }
 
     #[test]

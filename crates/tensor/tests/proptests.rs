@@ -1,6 +1,6 @@
 //! Property-based tests for the order-sensitive tensor substrate.
 
-use nstensor::{matmul, ReduceOrder, Reducer, Shape, Tensor};
+use nstensor::{matmul_ws, ReduceOrder, Reducer, Shape, Tensor, Workspace};
 use proptest::prelude::*;
 
 fn small_f32() -> impl Strategy<Value = f32> {
@@ -84,7 +84,7 @@ proptest! {
             }
         }
         let mut red = Reducer::new(ReduceOrder::Permuted, 32, seed);
-        let c = matmul(&a, &b, &mut red).unwrap();
+        let c = matmul_ws(&a, &b, &mut red, 1, &mut Workspace::new()).unwrap();
         for (x, e) in c.as_slice().iter().zip(&reference) {
             prop_assert!((*x as f64 - e).abs() < 1e-4);
         }
