@@ -20,7 +20,6 @@ use crate::settings::ExperimentSettings;
 use crate::task::{ModelKind, TaskSpec};
 use crate::variant::NoiseVariant;
 use hwsim::{Architecture, Device};
-use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
 use serde::{Deserialize, Serialize};
 
 /// One point of the data-parallel extension sweep.
@@ -46,14 +45,10 @@ pub fn data_parallel_sweep(settings: &ExperimentSettings) -> Vec<DataParallelPoi
             task.train.data_parallel_workers = workers;
             let prepared = PreparedTask::prepare(&task);
             let runs = run_variant(&prepared, &device, NoiseVariant::Impl, settings);
-            let preds = runs
-                .class_pred_sets()
-                .expect("CIFAR-style tasks predict classes");
-            let weights = runs.weight_sets();
             DataParallelPoint {
                 workers,
-                churn: pairwise_mean_churn(&preds),
-                l2: pairwise_mean_l2(&weights),
+                churn: runs.churn(),
+                l2: runs.l2(),
                 mean_accuracy: nsmetrics::mean(&runs.accuracies()),
             }
         })
@@ -87,12 +82,8 @@ pub fn lanes_sweep(settings: &ExperimentSettings) -> Vec<LanesPoint> {
             LanesPoint {
                 cuda_cores: cores,
                 lanes: device.lanes(),
-                churn: pairwise_mean_churn(
-                    &runs
-                        .class_pred_sets()
-                        .expect("CIFAR-style tasks predict classes"),
-                ),
-                l2: pairwise_mean_l2(&runs.weight_sets()),
+                churn: runs.churn(),
+                l2: runs.l2(),
             }
         })
         .collect()
@@ -147,79 +138,43 @@ pub struct AlgoSourcePoint {
     pub churn: f64,
     /// Pairwise normalized weight L2.
     pub l2: f64,
+    /// Replicas that exhausted their retry budget; the metrics cover the
+    /// rest.
+    pub failed_replicas: Vec<u32>,
 }
 
-/// Decomposes ALGO noise into its four sources (paper Table 1): for each
-/// arm, every factor is pinned except one — initialization, data
-/// shuffling, augmentation, or dropout — and the replicas run on the
+/// Decomposes ALGO noise into its four sources (paper Table 1): each arm
+/// is one [`NoiseVariant`] that re-seeds a single source per replica —
+/// initialization, data shuffling, augmentation, or dropout — and pins
+/// the rest; "all" is [`NoiseVariant::AlgoImpl`]. The replicas run on the
 /// deterministic TPU so no scheduler noise mixes in. (Shuffle-order arms
 /// still pick up the data-order accumulation effect of Fig. 6; that is
 /// intrinsic to varying the order.) Extends the framework in the
 /// direction of Summers & Dinneen (2021), which the paper cites as the
 /// per-source study.
 pub fn algo_source_decomposition(settings: &ExperimentSettings) -> Vec<AlgoSourcePoint> {
-    use detrand::{Philox, SeedPolicy};
-    use hwsim::{ExecutionContext, ExecutionMode};
-    use nnet::trainer::{predict_classes, Trainer};
-
     let mut task = TaskSpec::small_cnn_cifar10();
     task.model = ModelKind::SmallCnnDropout { rate: 0.2 };
     let prepared = PreparedTask::prepare(&task);
     let device = Device::tpu_v2();
-    let fixed = settings.base_seed;
-
-    let arms: [&str; 5] = ["init", "shuffle", "augment", "dropout", "all"];
-    arms.iter()
-        .map(|&source| {
-            let mut preds_sets = Vec::new();
-            let mut weight_sets = Vec::new();
-            for replica in 0..settings.replicas {
-                let vary = SeedPolicy::PerReplica.seed_for(fixed, replica);
-                // Pin every stream to `fixed`; open exactly one to `vary`.
-                let model_root = Philox::from_seed(if source == "init" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                let mut cfg = task.train_config(settings);
-                cfg.shuffle_seed_override = Some(if source == "shuffle" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                cfg.augment_seed_override = Some(if source == "augment" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                cfg.dropout_seed_override = Some(if source == "dropout" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                let mut exec = ExecutionContext::new(device, ExecutionMode::Default, 0);
-                let mut net = task.build_model(&model_root);
-                let augment = nsdata::ShiftFlip::standard();
-                Trainer::new(cfg)
-                    .fit(
-                        &mut net,
-                        prepared.train_set(),
-                        &mut exec,
-                        &model_root,
-                        Some(&augment),
-                    )
-                    .expect("algo-source decomposition training run");
-                let p = predict_classes(&mut net, prepared.test_set(), &mut exec, &model_root, 64);
-                preds_sets.push(p);
-                weight_sets.push(net.flat_weights());
-            }
-            AlgoSourcePoint {
-                source: source.to_string(),
-                churn: pairwise_mean_churn(&preds_sets),
-                l2: pairwise_mean_l2(&weight_sets),
-            }
-        })
-        .collect()
+    [
+        ("init", NoiseVariant::InitOnly),
+        ("shuffle", NoiseVariant::ShuffleOnly),
+        ("augment", NoiseVariant::AugmentOnly),
+        ("dropout", NoiseVariant::DropoutOnly),
+        ("all", NoiseVariant::AlgoImpl),
+    ]
+    .into_iter()
+    .map(|(source, variant)| {
+        let runs = run_variant(&prepared, &device, variant, settings);
+        AlgoSourcePoint {
+            source: source.to_string(),
+            churn: runs.churn(),
+            l2: runs.l2(),
+            failed_replicas: runs.failed_replicas(),
+        }
+    })
+    .collect()
 }
 
 /// Renders the ALGO-source decomposition.
@@ -277,11 +232,7 @@ pub fn architecture_instability(settings: &ExperimentSettings) -> Vec<ArchInstab
             let runs = run_variant(&prepared, &device, NoiseVariant::AlgoImpl, settings);
             ArchInstabilityPoint {
                 model: name.to_string(),
-                churn: pairwise_mean_churn(
-                    &runs
-                        .class_pred_sets()
-                        .expect("CIFAR-style tasks predict classes"),
-                ),
+                churn: runs.churn(),
                 std_accuracy: nsmetrics::stddev(&runs.accuracies()),
                 mean_accuracy: nsmetrics::mean(&runs.accuracies()),
             }

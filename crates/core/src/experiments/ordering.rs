@@ -10,12 +10,11 @@
 //! the paper's "latent implementation noise" result.
 
 use crate::report::render_table;
-use crate::runner::PreparedTask;
+use crate::runner::{run_replica, PreparedTask, ReplicaStatus, VariantRuns};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
-use hwsim::{Device, ExecutionContext, ExecutionMode};
-use nnet::trainer::{predict_classes, Targets, Trainer};
-use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
+use crate::variant::NoiseVariant;
+use hwsim::Device;
 use serde::{Deserialize, Serialize};
 
 /// One Figure-6 data point.
@@ -29,6 +28,8 @@ pub struct OrderingPoint {
     pub l2: f64,
     /// Mean accuracy (sanity signal).
     pub mean_accuracy: f64,
+    /// Replicas whose training failed; the metrics cover the rest.
+    pub failed_replicas: Vec<u32>,
 }
 
 /// Runs the ordering experiment.
@@ -37,55 +38,58 @@ pub struct OrderingPoint {
 /// than the stability experiments: order-only noise starts at 1-ulp scale
 /// (no amplification applies on the deterministic TPU datapath) and needs
 /// time to grow through the training dynamics.
+///
+/// Every replica runs [`NoiseVariant::ShuffleOnly`] through
+/// [`run_replica`], one at a time and without chaos injection. Running
+/// the arms' replicas concurrently would be faster, but two full-batch
+/// (400-sample) replicas at once double the peak working set.
 pub fn fig6(settings: &ExperimentSettings) -> Vec<OrderingPoint> {
     let mut task = TaskSpec::small_cnn_cifar10();
     task.augment = false; // per-sample augmentation would covary with order
     task.train.schedule = nnet::schedule::LrSchedule::Constant { lr: 0.05 };
-    let prepared = PreparedTask::prepare(&task);
+    let mut prepared = PreparedTask::prepare(&task);
     let train_len = prepared.train_set().len();
     let device = Device::tpu_v2();
-    let algo = detrand::Philox::from_seed(settings.base_seed); // fixed for all replicas
+    let settings = ExperimentSettings {
+        chaos: None,
+        ..*settings
+    };
 
     let batch_sizes = [16usize, 64, train_len];
     let mut points = Vec::new();
     for &bs in &batch_sizes {
-        let mut preds_sets = Vec::new();
-        let mut weight_sets = Vec::new();
-        let mut accs = Vec::new();
         // Optimizer *steps*, not epochs, drive both learning and the
         // amplification of order noise; give larger batches more epochs so
         // every arm sees a comparable step budget (the paper trains 200
         // epochs on the full dataset for every batch size).
-        let epochs = match bs {
+        prepared.spec.train.epochs = match bs {
             b if b >= train_len => 300,
             b if b >= 64 => 60,
             _ => 30,
         };
+        prepared.spec.train.batch_size = bs;
+        let mut runs = VariantRuns {
+            variant: NoiseVariant::ShuffleOnly,
+            results: Vec::new(),
+            statuses: Vec::new(),
+        };
         for replica in 0..settings.replicas {
-            let mut cfg = task.train_config(settings);
-            cfg.epochs = settings.scale_epochs(epochs);
-            cfg.batch_size = bs;
-            // The single varying factor: the shuffle stream's seed.
-            cfg.shuffle_seed_override = Some(settings.base_seed ^ (0xF16_6000 + replica as u64));
-            let mut exec = ExecutionContext::new(device, ExecutionMode::Default, 0);
-            let mut net = task.build_model(&algo);
-            Trainer::new(cfg)
-                .fit(&mut net, prepared.train_set(), &mut exec, &algo, None)
-                .expect("fig6 training run");
-            let p = predict_classes(&mut net, prepared.test_set(), &mut exec, &algo, 64);
-            let labels = match &prepared.test_set().targets {
-                Targets::Classes(l) => l,
-                Targets::Binary(_) => unreachable!(),
-            };
-            accs.push(nsmetrics::accuracy(&p, labels));
-            preds_sets.push(p);
-            weight_sets.push(net.flat_weights());
+            match run_replica(&prepared, &device, runs.variant, &settings, replica) {
+                Ok(result) => {
+                    runs.results.push(result);
+                    runs.statuses.push(ReplicaStatus::Ok);
+                }
+                Err(e) => runs.statuses.push(ReplicaStatus::Failed {
+                    reason: e.to_string(),
+                }),
+            }
         }
         points.push(OrderingPoint {
             batch_size: bs,
-            churn: pairwise_mean_churn(&preds_sets),
-            l2: pairwise_mean_l2(&weight_sets),
-            mean_accuracy: nsmetrics::mean(&accs),
+            churn: runs.churn(),
+            l2: runs.l2(),
+            mean_accuracy: nsmetrics::mean(&runs.accuracies()),
+            failed_replicas: runs.failed_replicas(),
         });
     }
     points

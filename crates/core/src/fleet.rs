@@ -71,7 +71,7 @@ use std::time::Duration;
 /// Magic prefix of every IPC frame ("NSFL").
 pub const FRAME_MAGIC: u32 = 0x4E53_464C;
 /// Wire-protocol version; a mismatch is treated as corruption.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 /// Upper bound on a frame payload. A length above this is corruption
 /// (a real result frame is a few hundred KiB), and capping it keeps a
 /// garbled length field from triggering a giant allocation.
@@ -344,11 +344,7 @@ fn enc_train(e: &mut Enc, t: &TrainConfig) {
     enc_schedule(e, &t.schedule);
     e.f32(t.sgd.momentum);
     e.f32(t.sgd.weight_decay);
-    e.flag(t.shuffle);
-    e.opt_u64(t.shuffle_seed_override);
     e.size(t.data_parallel_workers);
-    e.opt_u64(t.augment_seed_override);
-    e.opt_u64(t.dropout_seed_override);
 }
 
 fn dec_train(d: &mut Dec<'_>) -> io::Result<TrainConfig> {
@@ -360,11 +356,7 @@ fn dec_train(d: &mut Dec<'_>) -> io::Result<TrainConfig> {
             momentum: d.f32()?,
             weight_decay: d.f32()?,
         },
-        shuffle: d.flag()?,
-        shuffle_seed_override: d.opt_u64()?,
         data_parallel_workers: d.size()?,
-        augment_seed_override: d.opt_u64()?,
-        dropout_seed_override: d.opt_u64()?,
     })
 }
 
@@ -428,6 +420,10 @@ fn enc_variant(e: &mut Enc, v: NoiseVariant) {
         NoiseVariant::Algo => 1,
         NoiseVariant::Impl => 2,
         NoiseVariant::Control => 3,
+        NoiseVariant::InitOnly => 4,
+        NoiseVariant::ShuffleOnly => 5,
+        NoiseVariant::AugmentOnly => 6,
+        NoiseVariant::DropoutOnly => 7,
     });
 }
 
@@ -437,6 +433,10 @@ fn dec_variant(d: &mut Dec<'_>) -> io::Result<NoiseVariant> {
         1 => NoiseVariant::Algo,
         2 => NoiseVariant::Impl,
         3 => NoiseVariant::Control,
+        4 => NoiseVariant::InitOnly,
+        5 => NoiseVariant::ShuffleOnly,
+        6 => NoiseVariant::AugmentOnly,
+        7 => NoiseVariant::DropoutOnly,
         t => return Err(bad(&format!("unknown variant tag {t}"))),
     })
 }
@@ -1048,17 +1048,27 @@ mod tests {
     fn spec_frames_round_trip() {
         assert_spec_round_trips(&sample_spec());
         // Every preset task exercises a different codec path (models,
-        // schedules, data sources, override options).
-        for task in [
+        // schedules, data sources), and every variant its own tag.
+        let tasks = [
             TaskSpec::small_cnn_bn_cifar10(),
             TaskSpec::resnet18_cifar100(),
             TaskSpec::resnet50_imagenet(),
             TaskSpec::celeba(),
-        ] {
+        ];
+        let variants = [
+            NoiseVariant::AlgoImpl,
+            NoiseVariant::Algo,
+            NoiseVariant::Impl,
+            NoiseVariant::Control,
+            NoiseVariant::InitOnly,
+            NoiseVariant::ShuffleOnly,
+            NoiseVariant::AugmentOnly,
+            NoiseVariant::DropoutOnly,
+        ];
+        for (task, variant) in tasks.into_iter().cycle().zip(variants) {
             let mut spec = sample_spec();
             spec.task = task;
-            spec.task.train.shuffle_seed_override = Some(99);
-            spec.task.train.dropout_seed_override = Some(0);
+            spec.variant = variant;
             spec.settings.chaos = None;
             assert_spec_round_trips(&spec);
         }

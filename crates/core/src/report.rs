@@ -4,7 +4,7 @@ use crate::runner::{Preds, PreparedTask, VariantRuns};
 use crate::variant::NoiseVariant;
 use hwsim::Device;
 use nnet::trainer::Targets;
-use nsmetrics::{mean, pairwise_mean_churn, pairwise_mean_l2, per_class_accuracy, stddev};
+use nsmetrics::{mean, pairwise_mean_churn, per_class_accuracy, stddev};
 use serde::{Deserialize, Serialize};
 
 /// Publishes a JSON report atomically (pretty-printed, via the same
@@ -93,8 +93,6 @@ pub fn stability_report(
     runs: &VariantRuns,
 ) -> StabilityReport {
     let accs = runs.accuracies();
-    let weights = runs.weight_sets();
-    let l2 = pairwise_mean_l2(&weights);
 
     let (churn, per_class_std) = match &runs.results.first().map(|r| &r.preds) {
         Some(Preds::Classes(_)) => {
@@ -121,12 +119,7 @@ pub fn stability_report(
             }
             (churn, per_class.iter().map(|xs| stddev(xs)).collect())
         }
-        Some(Preds::Binary(_)) => {
-            let preds = runs
-                .binary_pred_sets()
-                .expect("matched Preds::Binary above");
-            (pairwise_mean_churn(&preds), Vec::new())
-        }
+        Some(Preds::Binary(_)) => (runs.churn(), Vec::new()),
         None => (0.0, Vec::new()),
     };
 
@@ -147,7 +140,7 @@ pub fn stability_report(
         mean_accuracy: mean(&accs),
         std_accuracy: overall_std,
         churn,
-        l2,
+        l2: runs.l2(),
         per_class_std,
         max_per_class_ratio: max_ratio,
         failed_replicas: runs.failed_replicas(),

@@ -12,6 +12,7 @@ use nnet::trainer::{
     predict_binary, predict_classes, Dataset, FitOptions, Targets, TrainError, Trainer,
 };
 use nsdata::{CelebaData, ShiftFlip, SplitDataset};
+use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
 use serde::{Deserialize, Serialize};
 use std::ffi::OsString;
 use std::io;
@@ -233,6 +234,28 @@ impl VariantRuns {
         self.results.iter().map(|r| r.weights.clone()).collect()
     }
 
+    /// Mean pairwise predictive churn across the replicas.
+    ///
+    /// # Panics
+    ///
+    /// Panics if replicas hold different kinds of predictions, which one
+    /// task never produces.
+    pub fn churn(&self) -> f64 {
+        match self.class_pred_sets() {
+            Ok(preds) => pairwise_mean_churn(&preds),
+            Err(_) => pairwise_mean_churn(
+                &self
+                    .binary_pred_sets()
+                    .expect("one kind of predictions per task"),
+            ),
+        }
+    }
+
+    /// Mean pairwise normalized-L2 weight distance across the replicas.
+    pub fn l2(&self) -> f64 {
+        pairwise_mean_l2(&self.weight_sets())
+    }
+
     /// Replica class predictions.
     ///
     /// # Errors
@@ -334,10 +357,11 @@ fn fault_plan_for(
 
 /// Trains one replica of a task on a device under a variant.
 ///
-/// Every seed (algorithmic root, scheduler entropy, chaos schedule) is
-/// derived from the replica index, so a replica is a pure function of its
-/// arguments: re-running it — whether as a supervision retry or a
-/// checkpoint resume — reproduces the result bit-for-bit.
+/// Every seed (the variant's [`NoiseVariant::algo_roots`], scheduler
+/// entropy, chaos schedule) is derived from the replica index, so a
+/// replica is a pure function of its arguments: re-running it — whether
+/// as a supervision retry or a checkpoint resume — reproduces the result
+/// bit-for-bit.
 ///
 /// # Errors
 ///
@@ -376,7 +400,7 @@ pub fn run_replica_with(
     opts: ReplicaOptions<'_>,
 ) -> Result<ReplicaResult, TrainError> {
     let spec = &prepared.spec;
-    let algo = variant.seed_policy().root_for(settings.base_seed, replica);
+    let roots = variant.algo_roots(settings.base_seed, replica);
     let mut exec = ExecutionContext::builder(*device)
         .mode(variant.exec_mode())
         .entropy(settings.entropy_for(replica))
@@ -384,14 +408,14 @@ pub fn run_replica_with(
         .threads(settings.exec_threads)
         .chaos(fault_plan_for(prepared, settings, replica, opts.attempt))
         .build();
-    let mut net = spec.build_model(&algo);
+    let mut net = spec.build_model(&roots.init);
     let trainer = Trainer::new(spec.train_config(settings));
     let augment = ShiftFlip::standard();
     let report = trainer.fit_with(
         &mut net,
         prepared.train_set(),
         &mut exec,
-        &algo,
+        &roots,
         if spec.augment { Some(&augment) } else { None },
         FitOptions {
             resume: opts.resume,
@@ -405,12 +429,12 @@ pub fn run_replica_with(
     let test = prepared.test_set();
     let (preds, accuracy) = match &test.targets {
         Targets::Classes(labels) => {
-            let p = predict_classes(&mut net, test, &mut exec, &algo, 64);
+            let p = predict_classes(&mut net, test, &mut exec, &roots.dropout, 64);
             let acc = nsmetrics::accuracy(&p, labels);
             (Preds::Classes(p), acc)
         }
         Targets::Binary(t) => {
-            let p = predict_binary(&mut net, test, &mut exec, &algo, 64);
+            let p = predict_binary(&mut net, test, &mut exec, &roots.dropout, 64);
             let labels: Vec<u8> = t.as_slice().iter().map(|&v| (v > 0.5) as u8).collect();
             let acc = nsmetrics::accuracy(&p, &labels);
             (Preds::Binary(p), acc)
@@ -787,7 +811,10 @@ mod tests {
             0,
         )
         .expect("replica trains");
-        assert_eq!(r.preds, r.preds);
+        match &r.preds {
+            Preds::Classes(p) => assert_eq!(p.len(), prepared.test_set().len()),
+            other => panic!("a CIFAR-style task predicts classes, got {other:?}"),
+        }
         assert!(!r.weights.is_empty());
         assert!((0.0..=1.0).contains(&r.accuracy));
         assert!(r.final_train_loss.is_finite());
@@ -884,6 +911,31 @@ mod tests {
         let settings = tiny_settings();
         let runs = run_variant(&prepared, &Device::v100(), NoiseVariant::Algo, &settings);
         assert_ne!(runs.results[0].weights, runs.results[1].weights);
+    }
+
+    #[test]
+    fn single_source_arms_vary_only_their_source() {
+        // SmallCNN has no dropout layer, so freeing the dropout root leaves
+        // the replicas bit-identical on deterministic hardware; freeing the
+        // data order or the initialization does not.
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = tiny_settings();
+        let weights = |variant| {
+            let runs = run_variant(&prepared, &Device::tpu_v2(), variant, &settings);
+            (
+                runs.results[0].weights.clone(),
+                runs.results[1].weights.clone(),
+            )
+        };
+        let (a, b) = weights(NoiseVariant::DropoutOnly);
+        assert_eq!(
+            a, b,
+            "dropout-free replicas must not depend on the dropout root"
+        );
+        for variant in [NoiseVariant::ShuffleOnly, NoiseVariant::InitOnly] {
+            let (a, b) = weights(variant);
+            assert_ne!(a, b, "{variant} replicas must diverge");
+        }
     }
 
     #[test]

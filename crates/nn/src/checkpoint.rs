@@ -2,9 +2,10 @@
 //!
 //! A [`Checkpoint`] captures everything `Trainer::fit_with` needs to resume
 //! a run so that the continuation is *bitwise identical* to the
-//! uninterrupted run: model weights, optimizer momentum, the shuffle and
-//! augmentation RNG cursors, the execution context's reducer-scheduler
-//! states, and the (shuffled) sample order. Replicas are pure functions of
+//! uninterrupted run: model state (parameters and batch-norm running
+//! statistics), optimizer momentum, the shuffle and augmentation RNG
+//! cursors, the execution context's reducer-scheduler states, and the
+//! (shuffled) sample order. Replicas are pure functions of
 //! their seeds, so byte-exact state capture is both necessary and
 //! sufficient for byte-exact resume.
 //!
@@ -26,7 +27,7 @@ use std::path::Path;
 /// Magic prefix of the checkpoint container ("NSCK").
 const MAGIC: u32 = 0x4E53_434B;
 /// Codec version; bump on any layout change.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// A resumable snapshot of training state at an epoch boundary.
 ///
@@ -41,8 +42,9 @@ pub struct Checkpoint {
     pub steps: u64,
     /// Mean training loss of each completed epoch.
     pub epoch_losses: Vec<f32>,
-    /// Flattened model parameters (`Network::flat_weights` order).
-    pub weights: Vec<f32>,
+    /// Flattened model state: parameters and non-trained buffers such as
+    /// batch-norm running statistics (`Network::state` order).
+    pub state: Vec<f32>,
     /// SGD momentum buffers, one per parameter tensor.
     pub velocity: Vec<Vec<f32>>,
     /// Shuffle-stream RNG cursor.
@@ -129,13 +131,13 @@ fn get_stream(d: &mut Dec<'_>) -> Result<StreamSnapshot, DecodeError> {
 impl Checkpoint {
     /// Serializes to the versioned binary container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(64 + 4 * (self.weights.len() + self.order.len()));
+        let mut e = Enc::with_capacity(64 + 4 * (self.state.len() + self.order.len()));
         e.u32(MAGIC);
         e.u32(VERSION);
         e.u32(self.epochs_done);
         e.u64(self.steps);
         e.f32s(&self.epoch_losses);
-        e.f32s(&self.weights);
+        e.f32s(&self.state);
         e.size(self.velocity.len());
         for v in &self.velocity {
             e.f32s(v);
@@ -170,7 +172,7 @@ impl Checkpoint {
         let epochs_done = d.u32()?;
         let steps = d.u64()?;
         let epoch_losses = d.f32s()?;
-        let weights = d.f32s()?;
+        let state = d.f32s()?;
         let n_vel = d.len(8)?;
         let velocity = (0..n_vel).map(|_| d.f32s()).collect::<Result<_, _>>()?;
         let shuffle_rng = get_stream(&mut d)?;
@@ -190,7 +192,7 @@ impl Checkpoint {
             epochs_done,
             steps,
             epoch_losses,
-            weights,
+            state,
             velocity,
             shuffle_rng,
             augment_rng,
@@ -238,7 +240,7 @@ mod tests {
             epochs_done: 3,
             steps: 42,
             epoch_losses: vec![1.5, 0.75, f32::MIN_POSITIVE],
-            weights: vec![0.1, -0.0, f32::NAN, 2.5e-41],
+            state: vec![0.1, -0.0, f32::NAN, 2.5e-41],
             velocity: vec![vec![0.5, -0.5], vec![], vec![1.0]],
             shuffle_rng: s.snapshot(),
             augment_rng: a.snapshot(),
@@ -262,8 +264,8 @@ mod tests {
         let back = Checkpoint::from_bytes(&bytes).expect("decode");
         // PartialEq would treat NaN != NaN; compare the re-encoding.
         assert_eq!(bytes, back.to_bytes());
-        assert_eq!(back.weights[2].to_bits(), f32::NAN.to_bits());
-        assert_eq!(back.weights[1].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(back.state[2].to_bits(), f32::NAN.to_bits());
+        assert_eq!(back.state[1].to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]
@@ -315,6 +317,95 @@ mod tests {
                     "a mangled checkpoint decoded to a different encoding"
                 );
             }
+        }
+    }
+
+    /// Every layer type, given state its constructor does not produce
+    /// (a few training-mode forwards move batch-norm running statistics),
+    /// is copied through a checkpoint into a layer built from another
+    /// seed. The copy's eval-mode forward must match the source's bit for
+    /// bit, so a layer whose output depends on state outside
+    /// `Layer::visit_state` fails here.
+    #[test]
+    fn every_layer_round_trips_its_eval_forward() {
+        use crate::layers::*;
+        use hwsim::{Device, ExecutionContext, ExecutionMode};
+        use nstensor::{ConvGeometry, Shape, Tensor};
+
+        type Build = fn(&mut detrand::StreamRng) -> Box<dyn Layer>;
+        let cases: [(&str, Build, &[usize]); 10] = [
+            ("dense", |r| Box::new(Dense::new(6, 4, r)), &[3, 6]),
+            (
+                "conv2d",
+                |r| Box::new(Conv2d::new(ConvGeometry::new(2, 3, 3, 1, 1, 5, 5), r)),
+                &[3, 2, 5, 5],
+            ),
+            (
+                "batchnorm2d",
+                |r| Box::new(BatchNorm2d::new(2, r)),
+                &[3, 2, 4, 4],
+            ),
+            (
+                "residual",
+                |r| Box::new(ResidualBlock::new(2, 4, 2, 4, 4, r)),
+                &[3, 2, 4, 4],
+            ),
+            (
+                "bottleneck",
+                |r| Box::new(BottleneckBlock::new(2, 2, 4, 2, 4, 4, r)),
+                &[3, 2, 4, 4],
+            ),
+            ("relu", |_| Box::new(Relu::new()), &[3, 6]),
+            ("dropout", |_| Box::new(Dropout::new(0.5, 0)), &[3, 6]),
+            ("maxpool2d", |_| Box::new(MaxPool2d::new(2)), &[3, 2, 4, 4]),
+            ("flatten", |_| Box::new(Flatten::new()), &[3, 2, 4, 4]),
+            (
+                "globalavgpool",
+                |_| Box::new(GlobalAvgPool::new()),
+                &[3, 2, 4, 4],
+            ),
+        ];
+        let mut exec = ExecutionContext::new(Device::cpu(), ExecutionMode::Default, 0);
+        let input = |seed: u64, dims: &[usize]| {
+            let mut rng = Philox::from_seed(seed).stream(StreamId::TEST);
+            let mut x = Tensor::zeros(Shape::of(dims));
+            x.as_mut_slice().iter_mut().for_each(|v| *v = rng.normal());
+            x
+        };
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, build, dims) in cases {
+            let root = Philox::from_seed(1);
+            let mut source = build(&mut root.stream(StreamId::INIT));
+            for step in 0..3 {
+                source.forward(input(10 + step, dims), &mut exec, &root, step, true);
+            }
+            let mut copy = build(&mut Philox::from_seed(2).stream(StreamId::INIT));
+            let x = input(99, dims);
+            let want = bits(source.forward(x.clone(), &mut exec, &root, u64::MAX, false));
+            let mut state = Vec::new();
+            source.visit_state(&mut |t, _| state.extend_from_slice(t.as_slice()));
+            if !state.is_empty() {
+                assert_ne!(
+                    bits(copy.forward(x.clone(), &mut exec, &root, u64::MAX, false)),
+                    want,
+                    "{name}: the copy must start from different state"
+                );
+            }
+            let ck = Checkpoint { state, ..sample() };
+            let back = Checkpoint::from_bytes(&ck.to_bytes()).expect("decode");
+            let mut offset = 0;
+            copy.visit_state(&mut |t, _| {
+                let n = t.len();
+                t.as_mut_slice()
+                    .copy_from_slice(&back.state[offset..offset + n]);
+                offset += n;
+            });
+            assert_eq!(offset, back.state.len(), "{name}: state size");
+            assert_eq!(
+                bits(copy.forward(x, &mut exec, &root, u64::MAX, false)),
+                want,
+                "{name}: restored eval forward differs"
+            );
         }
     }
 

@@ -95,14 +95,6 @@ impl Enc {
         self.size(s.len());
         self.bytes(s.as_bytes());
     }
-
-    /// A presence flag, then the value if present.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        self.flag(v.is_some());
-        if let Some(x) = v {
-            self.u64(x);
-        }
-    }
 }
 
 /// Why a byte stream could not be decoded.
@@ -234,15 +226,6 @@ impl<'a> Dec<'a> {
     pub fn str(&mut self) -> Result<String, DecodeError> {
         let n = self.len(1)?;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    /// A value written by [`Enc::opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError> {
-        Ok(if self.flag()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
     }
 
     /// Ends decoding: every byte must have been consumed.

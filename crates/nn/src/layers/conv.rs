@@ -126,9 +126,9 @@ impl Layer for Conv2d {
         self.db = db;
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.w, &mut self.dw);
-        f(&mut self.b, &mut self.db);
+    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor, Option<&mut Tensor>)) {
+        f(&mut self.w, Some(&mut self.dw));
+        f(&mut self.b, Some(&mut self.db));
     }
 
     fn param_count(&self) -> usize {

@@ -104,9 +104,9 @@ impl Layer for Dense {
         .expect("dense dx shape")
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.w, &mut self.dw);
-        f(&mut self.b, &mut self.db);
+    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor, Option<&mut Tensor>)) {
+        f(&mut self.w, Some(&mut self.dw));
+        f(&mut self.b, Some(&mut self.db));
     }
 
     fn param_count(&self) -> usize {

@@ -73,8 +73,21 @@ pub trait Layer: std::fmt::Debug {
         drop(self.backward(dy, exec));
     }
 
-    /// Visits `(parameter, gradient)` pairs for the optimizer.
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+    /// Visits every tensor the layer's output depends on, in a fixed
+    /// order: `(parameter, Some(gradient))` for each trainable parameter
+    /// and `(buffer, None)` for other state, such as batch-norm running
+    /// statistics. Checkpoints save and restore through this visitor.
+    fn visit_state(&mut self, _f: &mut dyn FnMut(&mut Tensor, Option<&mut Tensor>)) {}
+
+    /// Visits `(parameter, gradient)` pairs for the optimizer: the
+    /// trainable part of [`Layer::visit_state`].
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        self.visit_state(&mut |p, g| {
+            if let Some(g) = g {
+                f(p, g);
+            }
+        });
+    }
 
     /// Total number of trainable scalars.
     fn param_count(&self) -> usize {

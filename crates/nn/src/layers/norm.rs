@@ -22,8 +22,8 @@ pub struct BatchNorm2d {
     beta: Tensor,
     dgamma: Tensor,
     dbeta: Tensor,
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
+    running_mean: Tensor,
+    running_var: Tensor,
     momentum: f32,
     // Backward cache.
     cached_xhat: Option<Tensor>,
@@ -38,8 +38,8 @@ impl BatchNorm2d {
             beta: Init::Zeros.tensor(Shape::of(&[channels]), 1, 1, rng),
             dgamma: Tensor::zeros(Shape::of(&[channels])),
             dbeta: Tensor::zeros(Shape::of(&[channels])),
-            running_mean: vec![0.0; channels],
-            running_var: vec![1.0; channels],
+            running_mean: Tensor::zeros(Shape::of(&[channels])),
+            running_var: Tensor::full(Shape::of(&[channels]), 1.0),
             momentum: 0.9,
             cached_xhat: None,
             cached_inv_std: Vec::new(),
@@ -49,11 +49,6 @@ impl BatchNorm2d {
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.gamma.len()
-    }
-
-    /// The running mean (inference statistics).
-    pub fn running_mean(&self) -> &[f32] {
-        &self.running_mean
     }
 }
 
@@ -77,15 +72,18 @@ impl Layer for BatchNorm2d {
         let (mean, var) = if training {
             let (m, v) =
                 ops::channel_mean_var(&x, exec.reducer(OpClass::Statistics)).expect("bn stats");
+            let rm = self.running_mean.as_mut_slice();
+            let rv = self.running_var.as_mut_slice();
             for ch in 0..c {
-                self.running_mean[ch] =
-                    self.momentum * self.running_mean[ch] + (1.0 - self.momentum) * m[ch];
-                self.running_var[ch] =
-                    self.momentum * self.running_var[ch] + (1.0 - self.momentum) * v[ch];
+                rm[ch] = self.momentum * rm[ch] + (1.0 - self.momentum) * m[ch];
+                rv[ch] = self.momentum * rv[ch] + (1.0 - self.momentum) * v[ch];
             }
             (m, v)
         } else {
-            (self.running_mean.clone(), self.running_var.clone())
+            (
+                self.running_mean.as_slice().to_vec(),
+                self.running_var.as_slice().to_vec(),
+            )
         };
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
@@ -163,9 +161,11 @@ impl Layer for BatchNorm2d {
         dx
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.gamma, &mut self.dgamma);
-        f(&mut self.beta, &mut self.dbeta);
+    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor, Option<&mut Tensor>)) {
+        f(&mut self.gamma, Some(&mut self.dgamma));
+        f(&mut self.beta, Some(&mut self.dbeta));
+        f(&mut self.running_mean, None);
+        f(&mut self.running_var, None);
     }
 
     fn param_count(&self) -> usize {
@@ -231,10 +231,10 @@ mod tests {
             let x = random_input(8, 1, 4, 4, 100 + seed);
             bn.forward(x, &mut exec, &root, seed, true);
         }
-        assert!(
-            bn.running_mean()[0].abs() > 0.5,
-            "running mean barely moved"
-        );
+        let mut state = Vec::new();
+        bn.visit_state(&mut |t, _| state.push(t.as_slice()[0]));
+        // gamma, beta, running mean, running variance
+        assert!(state[2].abs() > 0.5, "running mean barely moved");
         // Eval on a constant input: output must be a deterministic function
         // of the running stats, not the batch.
         let x = Tensor::full(Shape::of(&[2, 1, 4, 4]), 3.0);

@@ -131,14 +131,14 @@ impl Layer for ResidualBlock {
         dx
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.conv1.visit_params(f);
-        self.bn1.visit_params(f);
-        self.conv2.visit_params(f);
-        self.bn2.visit_params(f);
+    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor, Option<&mut Tensor>)) {
+        self.conv1.visit_state(f);
+        self.bn1.visit_state(f);
+        self.conv2.visit_state(f);
+        self.bn2.visit_state(f);
         if let Some((conv, bn)) = &mut self.projection {
-            conv.visit_params(f);
-            bn.visit_params(f);
+            conv.visit_state(f);
+            bn.visit_state(f);
         }
     }
 
@@ -288,16 +288,16 @@ impl Layer for BottleneckBlock {
         dx
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.reduce.visit_params(f);
-        self.bn1.visit_params(f);
-        self.mid.visit_params(f);
-        self.bn2.visit_params(f);
-        self.expand.visit_params(f);
-        self.bn3.visit_params(f);
+    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor, Option<&mut Tensor>)) {
+        self.reduce.visit_state(f);
+        self.bn1.visit_state(f);
+        self.mid.visit_state(f);
+        self.bn2.visit_state(f);
+        self.expand.visit_state(f);
+        self.bn3.visit_state(f);
         if let Some((conv, bn)) = &mut self.projection {
-            conv.visit_params(f);
-            bn.visit_params(f);
+            conv.visit_state(f);
+            bn.visit_state(f);
         }
     }
 

@@ -64,4 +64,4 @@ pub mod zoo;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use layers::Layer;
 pub use model::Network;
-pub use trainer::{Batch, FitOptions, Targets, TrainConfig, TrainError, Trainer};
+pub use trainer::{AlgoRoots, Batch, FitOptions, Targets, TrainConfig, TrainError, Trainer};

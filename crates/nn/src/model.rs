@@ -100,22 +100,37 @@ impl Network {
         out
     }
 
-    /// Overwrites every parameter from a flat vector produced by
-    /// [`Network::flat_weights`] (checkpoint restore).
+    /// Visits every layer's state ([`Layer::visit_state`]).
+    pub fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor, Option<&mut Tensor>)) {
+        for layer in &mut self.layers {
+            layer.visit_state(f);
+        }
+    }
+
+    /// Flattens the full model state (parameters and buffers such as
+    /// batch-norm running statistics): the model part of a checkpoint.
+    pub fn state(&mut self) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.visit_state(&mut |t, _| out.extend_from_slice(t.as_slice()));
+        out
+    }
+
+    /// Overwrites the full model state from a vector produced by
+    /// [`Network::state`] (checkpoint restore).
     ///
     /// # Errors
     ///
     /// Returns the expected length when `flat` does not match the
-    /// network's parameter count; the network is left untouched.
-    pub fn set_flat_weights(&mut self, flat: &[f32]) -> Result<(), usize> {
-        let expected = self.param_count();
+    /// network's state size; the network is left untouched.
+    pub fn set_state(&mut self, flat: &[f32]) -> Result<(), usize> {
+        let expected = self.state().len();
         if flat.len() != expected {
             return Err(expected);
         }
         let mut offset = 0usize;
-        self.visit_params(&mut |p, _| {
-            let n = p.len();
-            p.as_mut_slice().copy_from_slice(&flat[offset..offset + n]);
+        self.visit_state(&mut |t, _| {
+            let n = t.len();
+            t.as_mut_slice().copy_from_slice(&flat[offset..offset + n]);
             offset += n;
         });
         Ok(())

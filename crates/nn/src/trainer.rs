@@ -193,6 +193,36 @@ pub trait Augment: std::fmt::Debug {
     fn apply(&self, sample: &mut [f32], dims: &[usize], rng: &mut StreamRng);
 }
 
+/// The algorithmic-randomness roots of one run, one per noise source
+/// (paper Table 1).
+///
+/// Each source draws only from its own root, so re-seeding one root
+/// varies that source and nothing else. [`AlgoRoots::shared`] draws every
+/// source from one root, which is what a single algorithmic seed means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AlgoRoots {
+    /// Weight initialization (consumed by the model builder).
+    pub init: Philox,
+    /// The per-epoch shuffle of the training set (`SHUFFLE` stream).
+    pub shuffle: Philox,
+    /// Per-sample data augmentation (`AUGMENT` stream).
+    pub augment: Philox,
+    /// Stochastic layers such as dropout (the root handed to `forward`).
+    pub dropout: Philox,
+}
+
+impl AlgoRoots {
+    /// Every source drawn from `root`.
+    pub fn shared(root: Philox) -> Self {
+        Self {
+            init: root,
+            shuffle: root,
+            augment: root,
+            dropout: root,
+        }
+    }
+}
+
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
@@ -204,27 +234,12 @@ pub struct TrainConfig {
     pub schedule: LrSchedule,
     /// Optimizer configuration.
     pub sgd: SgdConfig,
-    /// Whether to reshuffle the training set every epoch (an algorithmic
-    /// noise source; disabled for the paper's Fig. 6 ordering experiment).
-    pub shuffle: bool,
-    /// When set, the shuffle stream is drawn from this seed instead of the
-    /// run's algorithmic root — lets an experiment vary *only* the data
-    /// order while every other algorithmic factor stays fixed (the paper's
-    /// Fig. 6 design).
-    pub shuffle_seed_override: Option<u64>,
     /// Simulated data-parallel workers (1 = single device). Each batch is
     /// sharded across workers; shard gradients are combined through the
     /// device's `Misc` reducer, so a nondeterministic interconnect
     /// (arrival-order all-reduce) injects additional implementation noise —
     /// the distributed-training extension of the paper's §6.
     pub data_parallel_workers: usize,
-    /// When set, the augmentation stream derives from this seed instead of
-    /// the run's algorithmic root (vary *only* augmentation).
-    pub augment_seed_override: Option<u64>,
-    /// When set, stochastic layers (dropout) derive their streams from
-    /// this seed instead of the run's algorithmic root (vary *only* the
-    /// stochastic layers).
-    pub dropout_seed_override: Option<u64>,
 }
 
 impl Default for TrainConfig {
@@ -234,11 +249,7 @@ impl Default for TrainConfig {
             batch_size: 32,
             schedule: LrSchedule::Constant { lr: 0.05 },
             sgd: SgdConfig::default(),
-            shuffle: true,
-            shuffle_seed_override: None,
             data_parallel_workers: 1,
-            augment_seed_override: None,
-            dropout_seed_override: None,
         }
     }
 }
@@ -307,16 +318,13 @@ impl Trainer {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> TrainConfig {
-        self.config
-    }
-
     /// Trains `net` on `data`.
     ///
-    /// `algo` is the run's algorithmic root: shuffling uses its `SHUFFLE`
-    /// stream, augmentation its `AUGMENT` stream, dropout layers their own
-    /// streams. `exec` carries the device's accumulation-order semantics.
+    /// `roots` are the run's algorithmic roots: shuffling uses the
+    /// `SHUFFLE` stream of `roots.shuffle`, augmentation the `AUGMENT`
+    /// stream of `roots.augment`, and dropout layers their own streams of
+    /// `roots.dropout`. `exec` carries the device's accumulation-order
+    /// semantics.
     ///
     /// # Errors
     ///
@@ -329,10 +337,10 @@ impl Trainer {
         net: &mut Network,
         data: &Dataset,
         exec: &mut ExecutionContext,
-        algo: &Philox,
+        roots: &AlgoRoots,
         augment: Option<&dyn Augment>,
     ) -> Result<TrainReport, TrainError> {
-        self.fit_with(net, data, exec, algo, augment, FitOptions::default())
+        self.fit_with(net, data, exec, roots, augment, FitOptions::default())
     }
 
     /// [`Trainer::fit`] with checkpoint/resume control.
@@ -353,26 +361,14 @@ impl Trainer {
         net: &mut Network,
         data: &Dataset,
         exec: &mut ExecutionContext,
-        algo: &Philox,
+        roots: &AlgoRoots,
         augment: Option<&dyn Augment>,
         mut opts: FitOptions<'_>,
     ) -> Result<TrainReport, TrainError> {
         let cfg = self.config;
         let mut opt = Sgd::new(cfg.sgd);
-        let mut shuffle_rng = match cfg.shuffle_seed_override {
-            Some(seed) => Philox::from_seed(seed).stream(StreamId::SHUFFLE),
-            None => algo.stream(StreamId::SHUFFLE),
-        };
-        let mut augment_rng = match cfg.augment_seed_override {
-            Some(seed) => Philox::from_seed(seed).stream(StreamId::AUGMENT),
-            None => algo.stream(StreamId::AUGMENT),
-        };
-        // Stochastic layers read their streams from the root handed to
-        // `forward`; substituting it isolates dropout as a noise source.
-        let forward_root = cfg
-            .dropout_seed_override
-            .map(Philox::from_seed)
-            .unwrap_or(*algo);
+        let mut shuffle_rng = roots.shuffle.stream(StreamId::SHUFFLE);
+        let mut augment_rng = roots.augment.stream(StreamId::AUGMENT);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut step: u64 = 0;
         let mut start_epoch: u32 = 0;
@@ -395,9 +391,7 @@ impl Trainer {
         }
 
         for epoch in start_epoch..cfg.epochs {
-            if cfg.shuffle {
-                shuffle_in_place(&mut shuffle_rng, &mut order);
-            }
+            shuffle_in_place(&mut shuffle_rng, &mut order);
             let lr = cfg.schedule.lr_at(epoch);
             let mut loss_sum = 0f64;
             let mut batches = 0u32;
@@ -421,11 +415,11 @@ impl Trainer {
                         chunk.len(),
                         cfg.data_parallel_workers,
                         exec,
-                        &forward_root,
+                        &roots.dropout,
                         step,
                     )
                 } else {
-                    let logits = net.forward(batch.x, exec, &forward_root, step, true);
+                    let logits = net.forward(batch.x, exec, &roots.dropout, step, true);
                     let (loss, dlogits) = match &batch.targets {
                         Targets::Classes(labels) => softmax_cross_entropy(&logits, labels),
                         Targets::Binary(t) => sigmoid_bce(&logits, t),
@@ -519,7 +513,7 @@ fn capture_checkpoint(
         epochs_done,
         steps,
         epoch_losses: epoch_losses.to_vec(),
-        weights: net.flat_weights(),
+        state: net.state(),
         velocity: opt.velocity().to_vec(),
         shuffle_rng: shuffle_rng.snapshot(),
         augment_rng: augment_rng.snapshot(),
@@ -539,11 +533,11 @@ fn apply_checkpoint(
     augment_rng: &mut StreamRng,
     order: &mut Vec<usize>,
 ) -> Result<(), TrainError> {
-    net.set_flat_weights(&ck.weights)
+    net.set_state(&ck.state)
         .map_err(|expected| TrainError::BadCheckpoint {
             detail: format!(
-                "checkpoint has {} weights, model expects {expected}",
-                ck.weights.len()
+                "checkpoint has {} state values, model expects {expected}",
+                ck.state.len()
             ),
         })?;
     if ck.order.len() != order.len() {
@@ -754,14 +748,10 @@ mod tests {
             batch_size: 16,
             schedule: LrSchedule::Constant { lr: 0.1 },
             sgd: SgdConfig::default(),
-            shuffle: true,
-            shuffle_seed_override: None,
             data_parallel_workers: 1,
-            augment_seed_override: None,
-            dropout_seed_override: None,
         });
         let report = trainer
-            .fit(&mut net, &data, &mut exec, &root, None)
+            .fit(&mut net, &data, &mut exec, &AlgoRoots::shared(root), None)
             .expect("training failed");
         assert_eq!(report.steps, 20 * 8);
         assert!(
@@ -784,7 +774,7 @@ mod tests {
                 ..TrainConfig::default()
             });
             trainer
-                .fit(&mut net, &data, &mut exec, &root, None)
+                .fit(&mut net, &data, &mut exec, &AlgoRoots::shared(root), None)
                 .expect("training failed");
             net.flat_weights()
         };
@@ -803,7 +793,7 @@ mod tests {
                 ..TrainConfig::default()
             });
             trainer
-                .fit(&mut net, &data, &mut exec, &root, None)
+                .fit(&mut net, &data, &mut exec, &AlgoRoots::shared(root), None)
                 .expect("training failed");
             net.flat_weights()
         };
@@ -820,7 +810,7 @@ mod tests {
             ..TrainConfig::default()
         });
         assert_eq!(
-            trainer.fit(&mut net, &data, &mut exec, &root, None),
+            trainer.fit(&mut net, &data, &mut exec, &AlgoRoots::shared(root), None),
             Err(TrainError::NoSteps)
         );
     }
@@ -862,7 +852,13 @@ mod tests {
         let (mut ref_net, root) = mlp(13);
         let mut exec = make_exec();
         let ref_report = Trainer::new(cfg)
-            .fit(&mut ref_net, &data, &mut exec, &root, None)
+            .fit(
+                &mut ref_net,
+                &data,
+                &mut exec,
+                &AlgoRoots::shared(root),
+                None,
+            )
             .expect("reference run");
         let ref_weights = ref_net.flat_weights();
 
@@ -881,7 +877,7 @@ mod tests {
                 &mut int_net,
                 &data,
                 &mut exec,
-                &root,
+                &AlgoRoots::shared(root),
                 None,
                 FitOptions {
                     resume: None,
@@ -901,7 +897,7 @@ mod tests {
                 &mut res_net,
                 &data,
                 &mut exec,
-                &root,
+                &AlgoRoots::shared(root),
                 None,
                 FitOptions {
                     resume: Some(&ck),
@@ -940,7 +936,7 @@ mod tests {
             &mut net,
             &data,
             &mut exec,
-            &root,
+            &AlgoRoots::shared(root),
             None,
             FitOptions {
                 resume: None,
@@ -951,7 +947,7 @@ mod tests {
         )
         .expect("train");
         let mut ck = saved.expect("checkpoint");
-        ck.weights.pop(); // wrong parameter count
+        ck.state.pop(); // wrong state size
         let err = Trainer::new(TrainConfig {
             epochs: 2,
             ..TrainConfig::default()
@@ -960,7 +956,7 @@ mod tests {
             &mut net,
             &data,
             &mut exec,
-            &root,
+            &AlgoRoots::shared(root),
             None,
             FitOptions {
                 resume: Some(&ck),
@@ -1003,7 +999,7 @@ mod tests {
             epochs: 5,
             ..TrainConfig::default()
         })
-        .fit(&mut net, &data, &mut exec, &root, None)
+        .fit(&mut net, &data, &mut exec, &AlgoRoots::shared(root), None)
         .expect_err("poisoned run must fail");
         assert!(matches!(err, TrainError::Diverged { .. }), "{err}");
         assert!(!exec.chaos_armed(), "fit must disarm chaos on exit");

@@ -5,7 +5,7 @@
 //! change that is meant to move bits: delete the file, re-run (the test
 //! then writes it), and record the move in CHANGES.md.
 
-use noisescope::experiments::ordering;
+use noisescope::experiments::{extensions, ordering};
 use noisescope::prelude::*;
 use serde_json::Value;
 
@@ -86,6 +86,14 @@ fn assert_matches_golden(name: &str, report: &impl serde::Serialize) {
 #[test]
 fn fig6_report_matches_golden() {
     assert_matches_golden("fig6", &ordering::fig6(&pin_settings()));
+}
+
+#[test]
+fn ext_algo_sources_report_matches_golden() {
+    assert_matches_golden(
+        "ext_algo_sources",
+        &extensions::algo_source_decomposition(&pin_settings()),
+    );
 }
 
 #[test]

@@ -1,60 +1,53 @@
 //! Integration coverage for the data-ordering (Fig. 6) and subgroup
 //! fairness (Fig. 3 / Tables 3, 5) pipelines.
 
-use detrand::Philox;
-use hwsim::{Device, ExecutionContext, ExecutionMode};
-use nnet::trainer::Trainer;
 use noisescope::experiments::fairness;
 use noisescope::prelude::*;
 use ns_integration::tiny_task;
+
+/// Trains replica `replica` of `task` on the TPU under
+/// [`NoiseVariant::ShuffleOnly`]: replicas share every seed but the
+/// shuffle's.
+fn order_only_weights(task: &TaskSpec, replica: u32) -> Vec<f32> {
+    let settings = ExperimentSettings {
+        base_seed: 99,
+        ..ExperimentSettings::default()
+    };
+    let prepared = PreparedTask::prepare(task);
+    run_replica(
+        &prepared,
+        &Device::tpu_v2(),
+        NoiseVariant::ShuffleOnly,
+        &settings,
+        replica,
+    )
+    .expect("order-only run trains")
+    .weights
+}
 
 #[test]
 fn data_order_alone_diverges_weights_on_deterministic_hardware() {
     // The Figure-6 mechanism at test scale: same seed, deterministic TPU,
     // only the shuffle order differs → weights must differ (at least one
     // ulp) because gradient accumulation follows the visit order.
-    let task = tiny_task();
-    let prepared = PreparedTask::prepare(&task);
-    let algo = Philox::from_seed(99);
-    let run = |shuffle_seed: u64| {
-        let mut cfg = task.train;
-        cfg.epochs = 4;
-        cfg.shuffle_seed_override = Some(shuffle_seed);
-        let mut exec = ExecutionContext::new(Device::tpu_v2(), ExecutionMode::Default, 0);
-        let mut net = task.build_model(&algo);
-        Trainer::new(cfg)
-            .fit(&mut net, prepared.train_set(), &mut exec, &algo, None)
-            .expect("order-only run trains");
-        net.flat_weights()
-    };
-    let a = run(1);
-    let b = run(2);
+    let mut task = tiny_task();
+    task.train.epochs = 4;
+    let a = order_only_weights(&task, 0);
+    let b = order_only_weights(&task, 1);
     assert_ne!(a, b, "different data order left weights bitwise identical");
     // And the same order replays exactly.
-    assert_eq!(a, run(1));
+    assert_eq!(a, order_only_weights(&task, 0));
 }
 
 #[test]
 fn full_batch_training_is_still_order_sensitive() {
-    let task = tiny_task();
-    let prepared = PreparedTask::prepare(&task);
-    let algo = Philox::from_seed(99);
-    let full = prepared.train_set().len();
-    let run = |shuffle_seed: u64| {
-        let mut cfg = task.train;
-        cfg.epochs = 6;
-        cfg.batch_size = full; // one batch: identical gradient *terms*
-        cfg.shuffle_seed_override = Some(shuffle_seed);
-        let mut exec = ExecutionContext::new(Device::tpu_v2(), ExecutionMode::Default, 0);
-        let mut net = task.build_model(&algo);
-        Trainer::new(cfg)
-            .fit(&mut net, prepared.train_set(), &mut exec, &algo, None)
-            .expect("full-batch run trains");
-        net.flat_weights()
-    };
+    let mut task = tiny_task();
+    task.train.epochs = 6;
+    // One batch: identical gradient *terms*.
+    task.train.batch_size = PreparedTask::prepare(&task).train_set().len();
     assert_ne!(
-        run(1),
-        run(2),
+        order_only_weights(&task, 0),
+        order_only_weights(&task, 1),
         "mathematically identical full-batch gradients still depend on \
          accumulation order — the paper's latent implementation noise"
     );

@@ -3,7 +3,7 @@
 
 use detrand::Philox;
 use hwsim::{Device, ExecutionContext, ExecutionMode};
-use nnet::trainer::{predict_classes, Targets, Trainer};
+use nnet::trainer::{predict_classes, AlgoRoots, Targets, Trainer};
 use nnet::zoo;
 use noisescope::prelude::*;
 use ns_integration::{tiny_settings, tiny_task};
@@ -31,7 +31,13 @@ fn model_actually_learns_the_generated_task() {
         ..Default::default()
     };
     Trainer::new(cfg)
-        .fit(&mut net, &ds.train, &mut exec, &algo, None)
+        .fit(
+            &mut net,
+            &ds.train,
+            &mut exec,
+            &AlgoRoots::shared(algo),
+            None,
+        )
         .expect("sanity run trains");
     let preds = predict_classes(&mut net, &ds.test, &mut exec, &algo, 32);
     let labels = ds.test_labels();
@@ -53,7 +59,7 @@ fn augmentation_changes_training_but_respects_the_seed() {
                 &mut net,
                 prepared.train_set(),
                 &mut exec,
-                &algo,
+                &AlgoRoots::shared(algo),
                 if augment { Some(&aug) } else { None },
             )
             .expect("augmentation run trains");
@@ -86,7 +92,13 @@ fn dropout_task_trains_and_is_a_noise_source() {
             ..Default::default()
         };
         Trainer::new(cfg)
-            .fit(&mut net, &ds.train, &mut exec, &algo, None)
+            .fit(
+                &mut net,
+                &ds.train,
+                &mut exec,
+                &AlgoRoots::shared(algo),
+                None,
+            )
             .expect("dropout run trains");
         net.flat_weights()
     };

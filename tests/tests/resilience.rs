@@ -14,17 +14,27 @@ use ns_integration::{tiny_settings, tiny_task};
 use proptest::prelude::*;
 
 /// The golden interrupt/resume property on a deterministic device and a
-/// noisy GPU: training interrupted at an epoch boundary and resumed from
-/// the persisted checkpoint must reproduce the uninterrupted run
-/// bit-for-bit — weights, predictions and accuracy.
+/// noisy GPU, with and without batch-norm: training interrupted at an
+/// epoch boundary and resumed from the persisted checkpoint must
+/// reproduce the uninterrupted run bit-for-bit — weights, predictions and
+/// accuracy. With batch-norm, the predictions depend on the running
+/// statistics, so the checkpoint must carry them.
 #[test]
 fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
-    let mut task = tiny_task();
-    task.train.epochs = 4;
-    let prepared = PreparedTask::prepare(&task);
     let settings = tiny_settings();
+    for (name, with_bn) in [("SmallCNN", false), ("SmallCNN+BN", true)] {
+        let mut task = tiny_task();
+        task.name = name.into();
+        task.model = ModelKind::SmallCnn { with_bn };
+        task.train.epochs = 4;
+        let prepared = PreparedTask::prepare(&task);
+        golden_interrupt_resume(&prepared, &settings);
+    }
+}
+
+fn golden_interrupt_resume(prepared: &PreparedTask, settings: &ExperimentSettings) {
     for device in [Device::cpu(), Device::v100()] {
-        let reference = run_replica(&prepared, &device, NoiseVariant::Impl, &settings, 0)
+        let reference = run_replica(prepared, &device, NoiseVariant::Impl, settings, 0)
             .expect("uninterrupted replica trains");
 
         // "Interrupt" at epoch 2: capture the epoch-boundary checkpoint a
@@ -36,10 +46,10 @@ fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
             }
         };
         run_replica_with(
-            &prepared,
+            prepared,
             &device,
             NoiseVariant::Impl,
-            &settings,
+            settings,
             0,
             ReplicaOptions {
                 checkpoint_every_epochs: 1,
@@ -52,10 +62,10 @@ fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
         assert_eq!(ck.epochs_done, 2);
 
         let resumed = run_replica_with(
-            &prepared,
+            prepared,
             &device,
             NoiseVariant::Impl,
-            &settings,
+            settings,
             0,
             ReplicaOptions {
                 resume: Some(&ck),
@@ -68,15 +78,16 @@ fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
         assert_eq!(
             bits(&reference.weights),
             bits(&resumed.weights),
-            "resume-at-epoch-2 weights diverged on {}",
+            "{} resume-at-epoch-2 weights diverged on {}",
+            prepared.spec.name,
             device.name()
         );
-        assert_eq!(reference.preds, resumed.preds, "on {}", device.name());
+        let on = format!("{} on {}", prepared.spec.name, device.name());
+        assert_eq!(reference.preds, resumed.preds, "{on}");
         assert_eq!(
             reference.accuracy.to_bits(),
             resumed.accuracy.to_bits(),
-            "on {}",
-            device.name()
+            "{on}"
         );
     }
 }
@@ -147,14 +158,14 @@ proptest! {
         // Floats travel the codec as raw bits, so arbitrary bit patterns
         // (subnormals, infinities, NaN payloads) are the honest domain.
         loss_bits in proptest::collection::vec(any::<u32>(), 0..8),
-        weight_bits in proptest::collection::vec(any::<u32>(), 0..64),
+        state_bits in proptest::collection::vec(any::<u32>(), 0..64),
         velocity_bits in proptest::collection::vec(
             proptest::collection::vec(any::<u32>(), 0..16), 0..4),
         order in proptest::collection::vec(any::<u32>(), 0..64),
     ) {
         let floats = |bits: Vec<u32>| bits.into_iter().map(f32::from_bits).collect::<Vec<_>>();
         let epoch_losses = floats(loss_bits);
-        let weights = floats(weight_bits);
+        let state = floats(state_bits);
         let velocity: Vec<Vec<f32>> = velocity_bits.into_iter().map(floats).collect();
         let root = Philox::from_seed(seed);
         let mut shuffle = root.stream(StreamId::SHUFFLE);
@@ -174,7 +185,7 @@ proptest! {
             epochs_done,
             steps,
             epoch_losses,
-            weights,
+            state,
             velocity,
             shuffle_rng: shuffle.snapshot(),
             augment_rng: augment.snapshot(),

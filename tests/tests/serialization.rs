@@ -71,9 +71,11 @@ fn experiment_points_round_trip() {
         churn: 0.02,
         l2: 1e-4,
         mean_accuracy: 0.5,
+        failed_replicas: vec![1],
     };
     let back: OrderingPoint = serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
     assert_eq!(back.batch_size, 400);
+    assert_eq!(back.failed_replicas, vec![1]);
 }
 
 #[test]
