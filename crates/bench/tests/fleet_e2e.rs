@@ -12,7 +12,9 @@
 //!   `std::process::abort`) are classified as signal deaths and
 //!   re-dispatched;
 //! - an exhausted retry budget degrades into failed [`ReplicaStatus`]
-//!   entries and an `[INCOMPLETE ...]` report — never a supervisor error.
+//!   entries and an `[INCOMPLETE ...]` report — never a supervisor error;
+//! - a grid of cells on one pool of 1 or 3 worker processes equals each
+//!   cell run on its own, results, statuses and manifests alike.
 
 use hwsim::chaos::ChaosConfig;
 use noisescope::prelude::*;
@@ -243,4 +245,88 @@ fn exhausted_retry_budget_degrades_into_incomplete_report() {
         line.contains("[INCOMPLETE"),
         "summary must flag the incomplete fleet: {line}"
     );
+}
+
+#[test]
+fn process_grid_equals_each_cell_run_alone() {
+    let mut bn = tiny_task();
+    bn.name = "tiny BN".into();
+    bn.model = ModelKind::SmallCnn { with_bn: true };
+    let prepared = PreparedTask::prepare_all(&[tiny_task(), bn]);
+    let devices = [Device::cpu(), Device::v100()];
+    let two = ExperimentSettings {
+        replicas: 2,
+        worker_timeout_ms: 60_000,
+        ..ExperimentSettings::default()
+    };
+    let three = ExperimentSettings { replicas: 3, ..two };
+    let cells = [
+        GridCell {
+            prepared: &prepared[0],
+            device: &devices[0],
+            variant: NoiseVariant::AlgoImpl,
+            settings: &two,
+        },
+        GridCell {
+            prepared: &prepared[1],
+            device: &devices[1],
+            variant: NoiseVariant::Impl,
+            settings: &three,
+        },
+        GridCell {
+            prepared: &prepared[1],
+            device: &devices[0],
+            variant: NoiseVariant::Control,
+            settings: &two,
+        },
+    ];
+    let manifests = |store: &CheckpointStore| -> Vec<String> {
+        cells
+            .iter()
+            .map(|c| {
+                let dir = store.cell_dir(&c.prepared.spec.name, c.device.name(), c.variant);
+                std::fs::read_to_string(dir.join("manifest.txt")).expect("cell manifest")
+            })
+            .collect()
+    };
+
+    let reference = Scratch::new("grid-alone");
+    let alone: Vec<VariantRuns> = cells
+        .iter()
+        .map(|c| {
+            run_variant_fleet(
+                c.prepared,
+                c.device,
+                c.variant,
+                c.settings,
+                &reference.0,
+                1,
+                &repro_fleet(),
+            )
+            .expect("one cell in worker processes")
+        })
+        .collect();
+    for procs in [1, 3] {
+        let scratch = Scratch::new(&format!("grid-{procs}"));
+        let exec = Executor::Processes {
+            store: scratch.0.clone(),
+            checkpoint_every_epochs: 1,
+            fleet: FleetOptions {
+                procs,
+                ..repro_fleet()
+            },
+        };
+        let grid = run_grid(&cells, &exec).expect("grid in worker processes");
+        assert_eq!(grid.len(), alone.len());
+        for (g, a) in grid.iter().zip(&alone) {
+            assert_eq!(g.variant, a.variant);
+            assert_eq!(g.statuses, a.statuses, "statuses on {procs} workers");
+            assert_bit_identical(g, a);
+        }
+        assert_eq!(
+            manifests(&scratch.0),
+            manifests(&reference.0),
+            "{procs} workers"
+        );
+    }
 }

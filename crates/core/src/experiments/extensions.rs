@@ -15,7 +15,7 @@
 //!   architectural differences.
 
 use crate::report::render_table;
-use crate::runner::{run_variant, PreparedTask};
+use crate::runner::{run_variants, GridCell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::{ModelKind, TaskSpec};
 use crate::variant::NoiseVariant;
@@ -38,19 +38,33 @@ pub struct DataParallelPoint {
 /// Sweeps simulated data-parallel worker counts under IMPL-only noise.
 pub fn data_parallel_sweep(settings: &ExperimentSettings) -> Vec<DataParallelPoint> {
     let device = Device::v100();
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|workers| {
+    let workers = [1usize, 2, 4, 8];
+    let tasks: Vec<TaskSpec> = workers
+        .iter()
+        .map(|&w| {
             let mut task = TaskSpec::resnet18_cifar10();
-            task.train.data_parallel_workers = workers;
-            let prepared = PreparedTask::prepare(&task);
-            let runs = run_variant(&prepared, &device, NoiseVariant::Impl, settings);
-            DataParallelPoint {
-                workers,
-                churn: runs.churn(),
-                l2: runs.l2(),
-                mean_accuracy: nsmetrics::mean(&runs.accuracies()),
-            }
+            task.train.data_parallel_workers = w;
+            task
+        })
+        .collect();
+    let prepared = PreparedTask::prepare_all(&tasks);
+    let cells: Vec<GridCell<'_>> = prepared
+        .iter()
+        .map(|prepared| GridCell {
+            prepared,
+            device: &device,
+            variant: NoiseVariant::Impl,
+            settings,
+        })
+        .collect();
+    workers
+        .into_iter()
+        .zip(run_variants(&cells))
+        .map(|(workers, runs)| DataParallelPoint {
+            workers,
+            churn: runs.churn(),
+            l2: runs.l2(),
+            mean_accuracy: nsmetrics::mean(&runs.accuracies()),
         })
         .collect()
 }
@@ -71,20 +85,28 @@ pub struct LanesPoint {
 /// Sweeps a synthetic GPU's core count under IMPL-only noise (everything
 /// else — throughput model, architecture family — held fixed).
 pub fn lanes_sweep(settings: &ExperimentSettings) -> Vec<LanesPoint> {
-    let task = TaskSpec::small_cnn_cifar10();
-    let prepared = PreparedTask::prepare(&task);
-    [640u32, 1280, 2560, 5120]
+    let prepared = PreparedTask::prepare(&TaskSpec::small_cnn_cifar10());
+    let devices: Vec<Device> = [640u32, 1280, 2560, 5120]
         .into_iter()
-        .map(|cores| {
-            let device =
-                Device::custom("SWEEP-GPU", Architecture::Volta, cores, false, false, 14.9);
-            let runs = run_variant(&prepared, &device, NoiseVariant::Impl, settings);
-            LanesPoint {
-                cuda_cores: cores,
-                lanes: device.lanes(),
-                churn: runs.churn(),
-                l2: runs.l2(),
-            }
+        .map(|cores| Device::custom("SWEEP-GPU", Architecture::Volta, cores, false, false, 14.9))
+        .collect();
+    let cells: Vec<GridCell<'_>> = devices
+        .iter()
+        .map(|device| GridCell {
+            prepared: &prepared,
+            device,
+            variant: NoiseVariant::Impl,
+            settings,
+        })
+        .collect();
+    devices
+        .iter()
+        .zip(run_variants(&cells))
+        .map(|(device, runs)| LanesPoint {
+            cuda_cores: device.cuda_cores(),
+            lanes: device.lanes(),
+            churn: runs.churn(),
+            l2: runs.l2(),
         })
         .collect()
 }
@@ -157,24 +179,31 @@ pub fn algo_source_decomposition(settings: &ExperimentSettings) -> Vec<AlgoSourc
     task.model = ModelKind::SmallCnnDropout { rate: 0.2 };
     let prepared = PreparedTask::prepare(&task);
     let device = Device::tpu_v2();
-    [
+    let arms = [
         ("init", NoiseVariant::InitOnly),
         ("shuffle", NoiseVariant::ShuffleOnly),
         ("augment", NoiseVariant::AugmentOnly),
         ("dropout", NoiseVariant::DropoutOnly),
         ("all", NoiseVariant::AlgoImpl),
-    ]
-    .into_iter()
-    .map(|(source, variant)| {
-        let runs = run_variant(&prepared, &device, variant, settings);
-        AlgoSourcePoint {
+    ];
+    let cells: Vec<GridCell<'_>> = arms
+        .iter()
+        .map(|&(_, variant)| GridCell {
+            prepared: &prepared,
+            device: &device,
+            variant,
+            settings,
+        })
+        .collect();
+    arms.iter()
+        .zip(run_variants(&cells))
+        .map(|(&(source, _), runs)| AlgoSourcePoint {
             source: source.to_string(),
             churn: runs.churn(),
             l2: runs.l2(),
             failed_replicas: runs.failed_replicas(),
-        }
-    })
-    .collect()
+        })
+        .collect()
 }
 
 /// Renders the ALGO-source decomposition.
@@ -222,20 +251,33 @@ pub fn architecture_instability(settings: &ExperimentSettings) -> Vec<ArchInstab
         ("SmallCNN+BN", ModelKind::SmallCnn { with_bn: true }),
         ("MicroResNet18", ModelKind::MicroResNet18),
     ];
-    models
-        .into_iter()
-        .map(|(name, model)| {
+    let tasks: Vec<TaskSpec> = models
+        .iter()
+        .map(|&(name, model)| {
             let mut task = TaskSpec::small_cnn_cifar10();
             task.name = name.to_string();
             task.model = model;
-            let prepared = PreparedTask::prepare(&task);
-            let runs = run_variant(&prepared, &device, NoiseVariant::AlgoImpl, settings);
-            ArchInstabilityPoint {
-                model: name.to_string(),
-                churn: runs.churn(),
-                std_accuracy: nsmetrics::stddev(&runs.accuracies()),
-                mean_accuracy: nsmetrics::mean(&runs.accuracies()),
-            }
+            task
+        })
+        .collect();
+    let prepared = PreparedTask::prepare_all(&tasks);
+    let cells: Vec<GridCell<'_>> = prepared
+        .iter()
+        .map(|prepared| GridCell {
+            prepared,
+            device: &device,
+            variant: NoiseVariant::AlgoImpl,
+            settings,
+        })
+        .collect();
+    models
+        .iter()
+        .zip(run_variants(&cells))
+        .map(|(&(name, _), runs)| ArchInstabilityPoint {
+            model: name.to_string(),
+            churn: runs.churn(),
+            std_accuracy: nsmetrics::stddev(&runs.accuracies()),
+            mean_accuracy: nsmetrics::mean(&runs.accuracies()),
         })
         .collect()
 }
@@ -263,6 +305,7 @@ pub fn render_architecture_instability(points: &[ArchInstabilityPoint]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_variant;
     use crate::task::DataSource;
     use nsdata::GaussianSpec;
 

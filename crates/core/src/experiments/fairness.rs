@@ -2,7 +2,7 @@
 //! subgroup variance).
 
 use crate::report::render_table;
-use crate::runner::{run_variant, PreparedData, PreparedTask};
+use crate::runner::{run_variants, GridCell, PreparedData, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -93,7 +93,7 @@ fn mask_for(meta: &[CelebaMeta], group: &str) -> Result<Vec<bool>, UnknownSubgro
 pub fn fig3_table5(settings: &ExperimentSettings) -> Result<Vec<Table5>, UnknownSubgroupError> {
     let task = TaskSpec::celeba();
     let prepared = PreparedTask::prepare(&task);
-    let meta = match &prepared.data {
+    let meta = match &*prepared.data {
         PreparedData::Celeba(c) => c.test_meta.clone(),
         PreparedData::Gaussian(_) => unreachable!("celeba task prepares celeba data"),
     };
@@ -108,11 +108,19 @@ pub fn fig3_table5(settings: &ExperimentSettings) -> Result<Vec<Table5>, Unknown
         .map(|group| mask_for(&meta, group))
         .collect::<Result<_, _>>()?;
     let device = Device::v100();
-
-    NoiseVariant::MEASURED
+    let cells: Vec<GridCell<'_>> = NoiseVariant::MEASURED
         .iter()
-        .map(|&variant| {
-            let runs = run_variant(&prepared, &device, variant, settings);
+        .map(|&variant| GridCell {
+            prepared: &prepared,
+            device: &device,
+            variant,
+            settings,
+        })
+        .collect();
+
+    run_variants(&cells)
+        .into_iter()
+        .map(|runs| {
             let preds = runs
                 .binary_pred_sets()
                 .expect("CelebA attribute tasks predict binary labels");
@@ -148,7 +156,10 @@ pub fn fig3_table5(settings: &ExperimentSettings) -> Result<Vec<Table5>, Unknown
                     }
                 })
                 .collect();
-            Table5 { variant, rows }
+            Table5 {
+                variant: runs.variant,
+                rows,
+            }
         })
         .map(Ok)
         .collect()
@@ -159,7 +170,7 @@ pub fn fig3_table5(settings: &ExperimentSettings) -> Result<Vec<Table5>, Unknown
 pub fn table3() -> SubgroupCounts {
     let task = TaskSpec::celeba();
     let prepared = PreparedTask::prepare(&task);
-    match &prepared.data {
+    match &*prepared.data {
         PreparedData::Celeba(c) => c.train_counts(),
         PreparedData::Gaussian(_) => unreachable!(),
     }

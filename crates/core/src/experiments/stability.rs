@@ -1,7 +1,7 @@
 //! The stability experiments: Table 2 and Figures 1, 2, 4, 5, 9, 10.
 
 use crate::report::{render_table, stability_report, StabilityReport};
-use crate::runner::{run_cell, Executor, PreparedTask};
+use crate::runner::{run_grid, Executor, GridCell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -36,11 +36,13 @@ impl StabilityGrid {
     }
 }
 
-/// Runs every (task × device × variant) combination through `exec`.
+/// Runs every (task × device × variant) combination through `exec`, as
+/// one grid whose replicas share one worker pool. Tasks with an equal
+/// [`crate::task::DataSource`] share one prepared dataset.
 ///
 /// # Errors
 ///
-/// As [`run_cell`]; training faults degrade into flagged reports.
+/// As [`run_grid`]; training faults degrade into flagged reports.
 pub fn run_stability_grid(
     tasks: &[TaskSpec],
     devices: &[Device],
@@ -48,21 +50,49 @@ pub fn run_stability_grid(
     settings: &ExperimentSettings,
     exec: &Executor,
 ) -> io::Result<StabilityGrid> {
-    let mut reports = Vec::new();
-    for task in tasks {
-        let prepared = PreparedTask::prepare(task);
-        for device in devices {
-            for &variant in variants {
-                let runs = run_cell(&prepared, device, variant, settings, exec)?;
-                reports.push(stability_report(&prepared, device, variant, &runs));
+    run_blocks(&[(tasks, devices, settings)], variants, exec)
+}
+
+/// Every (task × device) pair of a block runs under the block's settings.
+type Block<'a> = (&'a [TaskSpec], &'a [Device], &'a ExperimentSettings);
+
+/// One [`run_grid`] over the cells of every block, reported in block,
+/// task, device, variant order.
+fn run_blocks(
+    blocks: &[Block<'_>],
+    variants: &[NoiseVariant],
+    exec: &Executor,
+) -> io::Result<StabilityGrid> {
+    let specs: Vec<TaskSpec> = blocks.iter().flat_map(|b| b.0.iter().cloned()).collect();
+    let prepared = PreparedTask::prepare_all(&specs);
+    let mut tasks = prepared.iter();
+    let mut cells = Vec::new();
+    for &(block_tasks, devices, settings) in blocks {
+        for prepared in tasks.by_ref().take(block_tasks.len()) {
+            for device in devices {
+                for &variant in variants {
+                    cells.push(GridCell {
+                        prepared,
+                        device,
+                        variant,
+                        settings,
+                    });
+                }
             }
         }
     }
+    let runs = run_grid(&cells, exec)?;
+    let reports = cells
+        .iter()
+        .zip(&runs)
+        .map(|(c, r)| stability_report(c.prepared, c.device, c.variant, r))
+        .collect();
     Ok(StabilityGrid { reports })
 }
 
 /// The paper's Table-2 grid: the three CIFAR tasks on P100/RTX5000/V100
 /// plus ResNet-50/ImageNet-sim on V100, under the three measured variants.
+/// Both parts run as one grid.
 ///
 /// # Errors
 ///
@@ -71,27 +101,27 @@ pub fn run_table2_grid(
     settings: &ExperimentSettings,
     exec: &Executor,
 ) -> io::Result<StabilityGrid> {
-    let mut grid = run_stability_grid(
-        &TaskSpec::table2_tasks(),
-        &Device::stability_gpus(),
-        &NoiseVariant::MEASURED,
-        settings,
-        exec,
-    )?;
     // ImageNet-sim row (V100 only; the paper trains 5 replicas).
     let imagenet = ExperimentSettings {
         replicas: settings.replicas.min(5),
         ..*settings
     };
-    let extra = run_stability_grid(
-        &[TaskSpec::resnet50_imagenet()],
-        &[Device::v100()],
+    run_blocks(
+        &[
+            (
+                &TaskSpec::table2_tasks(),
+                &Device::stability_gpus(),
+                settings,
+            ),
+            (
+                &[TaskSpec::resnet50_imagenet()],
+                &[Device::v100()],
+                &imagenet,
+            ),
+        ],
         &NoiseVariant::MEASURED,
-        &imagenet,
         exec,
-    )?;
-    grid.reports.extend(extra.reports);
-    Ok(grid)
+    )
 }
 
 /// Renders the Table-2 text table from a grid.
@@ -291,5 +321,42 @@ mod tests {
         let fig4 = fig4_from_reports(&grid);
         assert_eq!(fig4.len(), 1);
         assert!(fig4[0].max_class_std >= 0.0);
+    }
+
+    #[test]
+    fn tasks_on_one_data_source_are_prepared_once_with_unchanged_reports() {
+        let mut bn = tiny_task("B");
+        bn.model = crate::task::ModelKind::SmallCnn { with_bn: true };
+        let tasks = [tiny_task("A"), bn];
+        let mut other = tiny_task("C");
+        other.data = DataSource::Gaussian(GaussianSpec {
+            seed: 99,
+            ..GaussianSpec::cifar10_sim()
+        });
+        let shared = PreparedTask::prepare_all(&[tasks[0].clone(), other, tasks[1].clone()]);
+        assert!(std::sync::Arc::ptr_eq(&shared[0].data, &shared[2].data));
+        assert!(!std::sync::Arc::ptr_eq(&shared[0].data, &shared[1].data));
+
+        let settings = tiny_settings();
+        let variants = [NoiseVariant::Impl, NoiseVariant::Algo];
+        let grid = run_stability_grid(
+            &tasks,
+            &[Device::v100()],
+            &variants,
+            &settings,
+            &Executor::InMemory,
+        )
+        .expect("in-memory grid");
+        let mut alone = Vec::new();
+        for task in &tasks {
+            let prepared = PreparedTask::prepare(task);
+            for variant in variants {
+                let runs =
+                    crate::runner::run_variant(&prepared, &Device::v100(), variant, &settings);
+                alone.push(stability_report(&prepared, &Device::v100(), variant, &runs));
+            }
+        }
+        let json = |r: &Vec<StabilityReport>| serde_json::to_string(r).expect("reports serialize");
+        assert_eq!(json(&grid.reports), json(&alone));
     }
 }

@@ -14,9 +14,9 @@
 //!   `(replica, attempt)`, reads its [`ReplicaSpec`] from stdin and
 //!   writes [`Heartbeat`] / result / [`WorkerFault`] frames to stdout.
 //! - **The supervisor** is the one replica engine,
-//!   [`crate::runner::run_cell`] on [`Executor::Processes`]: its pool
-//!   and retry loop are shared with the in-process executors, and only
-//!   the attempt differs. `run_attempt` spawns a worker, watches it
+//!   [`crate::runner::run_grid`] on [`Executor::Processes`]: its pool
+//!   (one for the whole grid) and retry loop are shared with the
+//!   in-process executors, and only the attempt differs. `run_attempt` spawns a worker, watches it
 //!   with a heartbeat watchdog plus an absolute wall-clock deadline,
 //!   kills a stalled worker, and classifies how it ended (clean exit /
 //!   graceful fault / panic exit code / signal / timeout). Retries back

@@ -20,11 +20,12 @@
 //!   (`ALGO+IMPL`, `ALGO`, `IMPL`, `Control`);
 //! - [`task::TaskSpec`] — model × dataset × training-recipe presets
 //!   mirroring the paper's benchmarks;
-//! - [`runner`] — the one replica engine, [`runner::run_cell`], which
-//!   trains a cell's replica fleet under supervision through a
-//!   [`runner::Executor`]: in memory, with durable progress in a
-//!   [`resume::CheckpointStore`], or in supervised worker processes
-//!   ([`fleet`]);
+//! - [`runner`] — the one replica engine, [`runner::run_grid`], which
+//!   trains the replica fleets of a grid of cells under supervision, on
+//!   one worker pool, through a [`runner::Executor`]
+//!   ([`runner::run_cell`] is a one-cell grid): in memory, with durable
+//!   progress in a [`resume::CheckpointStore`], or in supervised worker
+//!   processes ([`fleet`]);
 //! - [`report`] — stability reports (accuracy stddev, churn, normalized
 //!   L2) and text-table rendering;
 //! - [`experiments`] — one entry point per table/figure of the paper
@@ -64,8 +65,9 @@ pub mod prelude {
     pub use crate::report::{render_table, save_json, stability_report, StabilityReport};
     pub use crate::resume::{run_variant_resumable, CheckpointStore};
     pub use crate::runner::{
-        run_cell, run_replica, run_replica_with, run_variant, Executor, Preds, PredsKindError,
-        PreparedData, PreparedTask, ReplicaOptions, ReplicaResult, ReplicaStatus, VariantRuns,
+        run_cell, run_grid, run_replica, run_replica_with, run_variant, run_variants, Executor,
+        GridCell, Preds, PredsKindError, PreparedData, PreparedTask, ReplicaOptions, ReplicaResult,
+        ReplicaStatus, VariantRuns,
     };
     pub use crate::settings::ExperimentSettings;
     pub use crate::settings::SettingsError;

@@ -4,14 +4,15 @@
 //! can be interrupted at any point — a wall-clock limit, a host failure, a
 //! ctrl-C. The store makes those interruptions cheap instead of fatal.
 //! Under [`Executor::Durable`] and [`Executor::Processes`] the engine in
-//! [`crate::runner::run_cell`]:
+//! [`crate::runner::run_grid`]:
 //!
 //! - persists every *completed* replica's [`ReplicaResult`] to its cell
 //!   directory the moment it finishes (resume skips it entirely);
 //! - sinks an epoch-boundary [`Checkpoint`] of every *in-flight* replica
 //!   to disk, so a resumed run re-enters mid-training instead of
 //!   re-training from scratch;
-//! - keeps a human-readable `manifest.txt` per cell.
+//! - keeps a human-readable `manifest.txt` per cell, rewritten when the
+//!   cell's last replica lands.
 //!
 //! Because replicas are pure functions of `(task, device, variant,
 //! settings, replica)` and checkpoints capture the *complete* training

@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 use std::ffi::OsString;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A task with its dataset materialized (generation happens once; the
@@ -27,8 +28,9 @@ use std::time::Duration;
 pub struct PreparedTask {
     /// The task specification.
     pub spec: TaskSpec,
-    /// The materialized data.
-    pub data: PreparedData,
+    /// The materialized data, shared by every task prepared from an equal
+    /// [`DataSource`] through [`PreparedTask::prepare_all`].
+    pub data: Arc<PreparedData>,
 }
 
 /// The materialized dataset of a prepared task.
@@ -40,22 +42,45 @@ pub enum PreparedData {
     Celeba(Box<CelebaData>),
 }
 
+impl PreparedData {
+    fn generate(source: &DataSource) -> Self {
+        match source {
+            DataSource::Gaussian(g) => PreparedData::Gaussian(Box::new(g.generate())),
+            DataSource::Celeba(c) => PreparedData::Celeba(Box::new(c.generate())),
+        }
+    }
+}
+
 impl PreparedTask {
     /// Generates the task's dataset.
     pub fn prepare(spec: &TaskSpec) -> Self {
-        let data = match spec.data {
-            DataSource::Gaussian(g) => PreparedData::Gaussian(Box::new(g.generate())),
-            DataSource::Celeba(c) => PreparedData::Celeba(Box::new(c.generate())),
-        };
         Self {
             spec: spec.clone(),
-            data,
+            data: Arc::new(PreparedData::generate(&spec.data)),
         }
+    }
+
+    /// Prepares every task, generating each distinct [`DataSource`] once:
+    /// tasks with equal sources share one dataset, so a grid holds each
+    /// dataset in memory once however many of its tasks train on it.
+    pub fn prepare_all(specs: &[TaskSpec]) -> Vec<Self> {
+        let mut prepared: Vec<Self> = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let data = match prepared.iter().find(|p| p.spec.data == spec.data) {
+                Some(p) => Arc::clone(&p.data),
+                None => Arc::new(PreparedData::generate(&spec.data)),
+            };
+            prepared.push(Self {
+                spec: spec.clone(),
+                data,
+            });
+        }
+        prepared
     }
 
     /// The training split.
     pub fn train_set(&self) -> &Dataset {
-        match &self.data {
+        match &*self.data {
             PreparedData::Gaussian(s) => &s.train,
             PreparedData::Celeba(c) => &c.train,
         }
@@ -63,7 +88,7 @@ impl PreparedTask {
 
     /// The test split.
     pub fn test_set(&self) -> &Dataset {
-        match &self.data {
+        match &*self.data {
             PreparedData::Gaussian(s) => &s.test,
             PreparedData::Celeba(c) => &c.test,
         }
@@ -71,7 +96,7 @@ impl PreparedTask {
 
     /// Number of classes (1 for binary attribute tasks).
     pub fn classes(&self) -> usize {
-        match &self.data {
+        match &*self.data {
             PreparedData::Gaussian(s) => s.classes,
             PreparedData::Celeba(_) => 1,
         }
@@ -367,7 +392,7 @@ fn fault_plan_for(
 ///
 /// Returns the [`TrainError`] of a diverged, faulted or empty training
 /// run. Injected kernel panics are *not* caught here; the supervisor in
-/// [`run_cell`] isolates those.
+/// [`run_grid`] isolates those.
 pub fn run_replica(
     prepared: &PreparedTask,
     device: &Device,
@@ -469,7 +494,7 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Where a cell's replica attempts run, and where their progress lives.
 ///
-/// All three share one engine, [`run_cell`]: the same validation, store
+/// All three share one engine, [`run_grid`]: the same validation, store
 /// harvest, worker pool, retry loop, persistence and manifest. Only how
 /// one attempt runs differs, and a replica is a pure function of its
 /// index, so every executor produces bit-identical results.
@@ -533,12 +558,24 @@ pub(crate) type Attempt = Result<ReplicaResult, Failure>;
 
 type Supervised = (Option<ReplicaResult>, ReplicaStatus);
 
+/// One cell of a grid: every replica of a (task, device, variant) under
+/// the cell's own settings.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCell<'a> {
+    /// The task and its materialized data.
+    pub prepared: &'a PreparedTask,
+    /// The device every replica trains on.
+    pub device: &'a Device,
+    /// The variant every replica trains under.
+    pub variant: NoiseVariant,
+    /// The cell's settings; cells of one grid may differ (say, in their
+    /// replica count).
+    pub settings: &'a ExperimentSettings,
+}
+
 /// One cell's fixed context, shared by every worker of the pool.
 struct Cell<'a> {
-    prepared: &'a PreparedTask,
-    device: &'a Device,
-    variant: NoiseVariant,
-    settings: &'a ExperimentSettings,
+    grid: GridCell<'a>,
     /// The store cell directory; `None` for [`Executor::InMemory`].
     dir: Option<PathBuf>,
     checkpoint_every_epochs: u32,
@@ -547,16 +584,85 @@ struct Cell<'a> {
     worker: Option<(PathBuf, &'a [OsString])>,
 }
 
-impl Cell<'_> {
+impl<'a> Cell<'a> {
+    /// Validates a grid cell and resolves (and creates) its store
+    /// directory and worker executable under `exec`.
+    fn open(grid: &GridCell<'a>, exec: &'a Executor) -> io::Result<Self> {
+        grid.settings
+            .validate_for(&grid.prepared.spec)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let (store, checkpoint_every_epochs, fleet) = match exec {
+            Executor::InMemory => (None, 0, None),
+            Executor::Durable {
+                store,
+                checkpoint_every_epochs,
+            } => (Some(store), *checkpoint_every_epochs, None),
+            Executor::Processes {
+                store,
+                checkpoint_every_epochs,
+                fleet,
+            } => (Some(store), *checkpoint_every_epochs, Some(fleet)),
+        };
+        let dir =
+            store.map(|s| s.cell_dir(&grid.prepared.spec.name, grid.device.name(), grid.variant));
+        let worker = match (fleet, &dir) {
+            (Some(opts), Some(dir)) => Some((
+                fleet::worker_exe(grid.device, dir, opts)?,
+                opts.worker_args.as_slice(),
+            )),
+            _ => None,
+        };
+        if let Some(dir) = &dir {
+            std::fs::create_dir_all(dir)?;
+        }
+        Ok(Cell {
+            grid: *grid,
+            dir,
+            checkpoint_every_epochs,
+            worker,
+        })
+    }
+
+    /// A replica already completed in the store.
+    fn harvest(&self, replica: u32) -> Option<Supervised> {
+        let (result, status) = resume::harvest(self.dir.as_deref()?, replica)?;
+        Some((Some(result), status))
+    }
+
+    /// Rewrites the cell's manifest once every replica has an outcome;
+    /// does nothing while one is still pending or failed with an IO error.
+    fn finish(&self, outcomes: &[Option<io::Result<Supervised>>]) -> io::Result<()> {
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
+        let statuses: Option<Vec<ReplicaStatus>> = outcomes
+            .iter()
+            .map(|o| match o {
+                Some(Ok((_, status))) => Some(status.clone()),
+                _ => None,
+            })
+            .collect();
+        match statuses {
+            Some(statuses) => resume::write_manifest(
+                dir,
+                &self.grid.prepared.spec.name,
+                self.grid.device.name(),
+                self.grid.variant,
+                &statuses,
+            ),
+            None => Ok(()),
+        }
+    }
+
     /// Runs one attempt in a worker process, or on this thread.
     fn attempt(&self, replica: u32, attempt: u32) -> io::Result<Attempt> {
         match (&self.dir, &self.worker) {
             (Some(dir), Some((exe, args))) => {
                 let spec = ReplicaSpec {
-                    task: self.prepared.spec.clone(),
-                    device_name: self.device.name().to_string(),
-                    variant: self.variant,
-                    settings: *self.settings,
+                    task: self.grid.prepared.spec.clone(),
+                    device_name: self.grid.device.name().to_string(),
+                    variant: self.grid.variant,
+                    settings: *self.grid.settings,
                     replica,
                     attempt,
                     cell_dir: dir.clone(),
@@ -586,10 +692,10 @@ impl Cell<'_> {
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_replica_with(
-                self.prepared,
-                self.device,
-                self.variant,
-                self.settings,
+                self.grid.prepared,
+                self.grid.device,
+                self.grid.variant,
+                self.grid.settings,
                 replica,
                 ReplicaOptions {
                     attempt,
@@ -626,7 +732,7 @@ impl Cell<'_> {
                     let attempts = attempt + 1;
                     break (Some(result), ReplicaStatus::Retried { attempts });
                 }
-                Err(failure) if attempt == self.settings.retry_budget => {
+                Err(failure) if attempt == self.grid.settings.retry_budget => {
                     break (None, failure.exhausted(attempt + 1));
                 }
                 Err(_) => attempt += 1,
@@ -639,23 +745,140 @@ impl Cell<'_> {
     }
 }
 
-/// Trains every replica of one (task, device, variant) cell under
-/// supervision, in parallel, through `exec`.
+/// One cell's replica outcomes as they land.
+struct Slots {
+    /// Harvested or supervised outcome per replica index; `None` until
+    /// the replica lands, or for good if the grid stopped first.
+    outcomes: Vec<Option<io::Result<Supervised>>>,
+    /// The manifest write after the cell's last replica landed.
+    manifest: io::Result<()>,
+}
+
+/// Trains every replica of every cell under supervision, through one
+/// pool of workers, and returns the cells' runs in cell order.
 ///
-/// Replicas already completed in the executor's store are harvested.
-/// The rest are pulled from a shared counter by a pool of worker threads:
-/// one per core, or `fleet.procs` for [`Executor::Processes`], where each
-/// thread blocks on its own worker process. A failed attempt (training
-/// error, panic, crash, timeout) costs that replica a retry, up to
-/// `settings.retry_budget`, never the fleet. Replicas that exhaust the
-/// budget get a failed [`ReplicaStatus`] and no result, so partial fleets
-/// degrade into flagged reports instead of aborting the experiment.
+/// Every cell is validated and its store harvested up front. The pending
+/// (cell, replica) jobs, in cell-major order, are pulled from a shared
+/// counter by a pool of worker threads: one per core, or `fleet.procs`
+/// for [`Executor::Processes`], where each thread blocks on its own
+/// worker process. No worker waits for a cell to finish before starting
+/// the next cell's replicas, so a grid of small cells keeps every worker
+/// busy. A cell's manifest is written when its last replica lands.
+///
+/// A failed attempt (training error, panic, crash, timeout) costs that
+/// replica a retry, up to `settings.retry_budget`, never the grid.
+/// Replicas that exhaust the budget get a failed [`ReplicaStatus`] and no
+/// result, so partial fleets degrade into flagged reports instead of
+/// aborting the experiment.
 ///
 /// # Errors
 ///
-/// Settings that fail [`ExperimentSettings::validate_for`], store or
-/// spawn IO failures, and, for [`Executor::Processes`], a custom device
-/// or a non-UTF-8 store path.
+/// Any cell's settings that fail [`ExperimentSettings::validate_for`];
+/// for [`Executor::Processes`], a custom device or a non-UTF-8 store
+/// path; two cells sharing one store cell directory; store or spawn IO
+/// failures. After the first IO failure the workers take no new job, and
+/// the error returned is the first in (cell, replica) order.
+pub fn run_grid(cells: &[GridCell<'_>], exec: &Executor) -> io::Result<Vec<VariantRuns>> {
+    let width = match exec {
+        Executor::Processes { fleet, .. } if fleet.procs > 0 => fleet.procs,
+        _ => std::thread::available_parallelism().map_or(1, |p| p.get()),
+    };
+    run_grid_on(cells, exec, width)
+}
+
+/// [`run_grid`] on a pool of at most `width` workers.
+pub(crate) fn run_grid_on<'a>(
+    cells: &[GridCell<'a>],
+    exec: &'a Executor,
+    width: usize,
+) -> io::Result<Vec<VariantRuns>> {
+    let cells: Vec<Cell<'a>> = cells
+        .iter()
+        .map(|c| Cell::open(c, exec))
+        .collect::<io::Result<_>>()?;
+    for (i, cell) in cells.iter().enumerate() {
+        if let Some(dir) = &cell.dir {
+            if cells[..i].iter().any(|c| c.dir.as_ref() == Some(dir)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("two grid cells share the store cell {}", dir.display()),
+                ));
+            }
+        }
+    }
+
+    let mut jobs: Vec<(usize, u32)> = Vec::new();
+    let mut slots = Vec::with_capacity(cells.len());
+    for (c, cell) in cells.iter().enumerate() {
+        let outcomes: Vec<Option<io::Result<Supervised>>> = (0..cell.grid.settings.replicas)
+            .map(|r| cell.harvest(r).map(Ok))
+            .collect();
+        jobs.extend(
+            (0..cell.grid.settings.replicas)
+                .filter(|&r| outcomes[r as usize].is_none())
+                .map(|r| (c, r)),
+        );
+        cell.finish(&outcomes)?;
+        slots.push(Mutex::new(Slots {
+            outcomes,
+            manifest: Ok(()),
+        }));
+    }
+
+    // Workers claim jobs in order and stop claiming once any job fails
+    // with an IO error, so every unclaimed job comes after the first
+    // failure in (cell, replica) order.
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..width.min(jobs.len()) {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let Some(&(c, r)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
+                    let outcome = cells[c].supervise(r);
+                    let failed = outcome.is_err();
+                    let mut landed = slots[c].lock().expect("no worker panics holding a slot");
+                    landed.outcomes[r as usize] = Some(outcome);
+                    landed.manifest = cells[c].finish(&landed.outcomes);
+                    if failed || landed.manifest.is_err() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+
+    cells
+        .iter()
+        .zip(slots)
+        .map(|(cell, slots)| {
+            let slots = slots.into_inner().expect("no worker panics holding a slot");
+            let mut results = Vec::with_capacity(slots.outcomes.len());
+            let mut statuses = Vec::with_capacity(slots.outcomes.len());
+            for outcome in slots.outcomes {
+                let (result, status) =
+                    outcome.expect("a job goes unclaimed only after an earlier one failed")?;
+                results.extend(result);
+                statuses.push(status);
+            }
+            slots.manifest?;
+            Ok(VariantRuns {
+                variant: cell.grid.variant,
+                results,
+                statuses,
+            })
+        })
+        .collect()
+}
+
+/// Trains every replica of one (task, device, variant) cell through
+/// `exec`: a one-cell [`run_grid`].
+///
+/// # Errors
+///
+/// As [`run_grid`].
 pub fn run_cell(
     prepared: &PreparedTask,
     device: &Device,
@@ -663,96 +886,14 @@ pub fn run_cell(
     settings: &ExperimentSettings,
     exec: &Executor,
 ) -> io::Result<VariantRuns> {
-    settings
-        .validate_for(&prepared.spec)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let (store, checkpoint_every_epochs, fleet) = match exec {
-        Executor::InMemory => (None, 0, None),
-        Executor::Durable {
-            store,
-            checkpoint_every_epochs,
-        } => (Some(store), *checkpoint_every_epochs, None),
-        Executor::Processes {
-            store,
-            checkpoint_every_epochs,
-            fleet,
-        } => (Some(store), *checkpoint_every_epochs, Some(fleet)),
-    };
-    let dir = store.map(|s| s.cell_dir(&prepared.spec.name, device.name(), variant));
-    let worker = match (fleet, &dir) {
-        (Some(opts), Some(dir)) => Some((
-            fleet::worker_exe(device, dir, opts)?,
-            opts.worker_args.as_slice(),
-        )),
-        _ => None,
-    };
-    if let Some(dir) = &dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    let cell = Cell {
+    let cell = GridCell {
         prepared,
         device,
         variant,
         settings,
-        dir,
-        checkpoint_every_epochs,
-        worker,
     };
-
-    let n = settings.replicas;
-    let mut slots: Vec<Option<io::Result<Supervised>>> = (0..n)
-        .map(|r| {
-            let (result, status) = resume::harvest(cell.dir.as_deref()?, r)?;
-            Some(Ok((Some(result), status)))
-        })
-        .collect();
-    let pending: Vec<u32> = (0..n).filter(|&r| slots[r as usize].is_none()).collect();
-    let workers = match fleet {
-        Some(opts) if opts.procs > 0 => opts.procs,
-        _ => std::thread::available_parallelism().map_or(1, |p| p.get()),
-    }
-    .min(pending.len())
-    .max(1);
-    // Each worker returns its (index, outcome) pairs through the join
-    // handle and the outcomes are scattered by index, so results are in
-    // replica order no matter which worker trained what.
-    let next = AtomicUsize::new(0);
-    let supervised = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    while let Some(&r) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        local.push((r, cell.supervise(r)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("replica supervisor thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (r, out) in supervised {
-        slots[r as usize] = Some(out);
-    }
-
-    let mut results = Vec::with_capacity(n as usize);
-    let mut statuses = Vec::with_capacity(n as usize);
-    for slot in slots {
-        let (result, status) = slot.expect("every replica is harvested or supervised")?;
-        results.extend(result);
-        statuses.push(status);
-    }
-    if let Some(dir) = &cell.dir {
-        resume::write_manifest(dir, &prepared.spec.name, device.name(), variant, &statuses)?;
-    }
-    Ok(VariantRuns {
-        variant,
-        results,
-        statuses,
-    })
+    let mut runs = run_grid(&[cell], exec)?;
+    Ok(runs.pop().expect("one cell in, one cell out"))
 }
 
 /// [`run_cell`] on [`Executor::InMemory`].
@@ -769,7 +910,25 @@ pub fn run_variant(
     variant: NoiseVariant,
     settings: &ExperimentSettings,
 ) -> VariantRuns {
-    run_cell(prepared, device, variant, settings, &Executor::InMemory)
+    let cell = GridCell {
+        prepared,
+        device,
+        variant,
+        settings,
+    };
+    run_variants(&[cell])
+        .pop()
+        .expect("one cell in, one cell out")
+}
+
+/// [`run_grid`] on [`Executor::InMemory`]: the cells' replicas share one
+/// worker pool, and the runs come back in cell order.
+///
+/// # Panics
+///
+/// As [`run_variant`], if any cell fails validation.
+pub fn run_variants(cells: &[GridCell<'_>]) -> Vec<VariantRuns> {
+    run_grid(cells, &Executor::InMemory)
         .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
 }
 
@@ -952,5 +1111,237 @@ mod tests {
             tpu.results[0].weights, tpu.results[1].weights,
             "TPU is deterministic by design"
         );
+    }
+
+    /// A grid of four cells over two tasks that share one dataset, with
+    /// one cell under its own (larger) replica count.
+    struct Grid {
+        prepared: Vec<PreparedTask>,
+        devices: [Device; 3],
+        two: ExperimentSettings,
+        three: ExperimentSettings,
+    }
+
+    impl Grid {
+        fn new() -> Self {
+            let mut bn = tiny_task();
+            bn.name = "tiny BN".into();
+            bn.model = crate::task::ModelKind::SmallCnn { with_bn: true };
+            let two = ExperimentSettings {
+                replicas: 2,
+                ..tiny_settings()
+            };
+            Grid {
+                prepared: PreparedTask::prepare_all(&[tiny_task(), bn]),
+                devices: [Device::v100(), Device::cpu(), Device::tpu_v2()],
+                two,
+                three: ExperimentSettings { replicas: 3, ..two },
+            }
+        }
+
+        fn cells(&self) -> Vec<GridCell<'_>> {
+            let [v100, cpu, tpu] = &self.devices;
+            let [plain, bn] = &self.prepared[..] else {
+                unreachable!("two tasks")
+            };
+            let cell = |prepared, device, variant, settings| GridCell {
+                prepared,
+                device,
+                variant,
+                settings,
+            };
+            vec![
+                cell(plain, v100, NoiseVariant::Impl, &self.two),
+                cell(plain, cpu, NoiseVariant::Algo, &self.two),
+                cell(bn, v100, NoiseVariant::AlgoImpl, &self.three),
+                cell(bn, tpu, NoiseVariant::Control, &self.two),
+            ]
+        }
+    }
+
+    /// A cell's results through the store's byte-exact codec, and its
+    /// statuses.
+    fn bits(runs: &VariantRuns) -> (NoiseVariant, Vec<Vec<u8>>, Vec<ReplicaStatus>) {
+        let results = runs.results.iter().map(resume::encode_result).collect();
+        (runs.variant, results, runs.statuses.clone())
+    }
+
+    fn manifests(store: &CheckpointStore, cells: &[GridCell<'_>]) -> Vec<String> {
+        cells
+            .iter()
+            .map(|c| {
+                let dir = store.cell_dir(&c.prepared.spec.name, c.device.name(), c.variant);
+                std::fs::read_to_string(dir.join("manifest.txt")).expect("cell manifest")
+            })
+            .collect()
+    }
+
+    /// A unique scratch store per test, removed on drop.
+    struct Scratch(CheckpointStore);
+
+    impl Scratch {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("noisescope-grid-{tag}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            Scratch(CheckpointStore::new(dir))
+        }
+
+        fn durable(&self) -> Executor {
+            Executor::Durable {
+                store: self.0.clone(),
+                checkpoint_every_epochs: 1,
+            }
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(self.0.root()).ok();
+        }
+    }
+
+    #[test]
+    fn in_memory_grid_equals_each_cell_run_alone() {
+        let grid = Grid::new();
+        let cells = grid.cells();
+        let alone: Vec<_> = cells
+            .iter()
+            .map(|c| {
+                let runs = run_cell(
+                    c.prepared,
+                    c.device,
+                    c.variant,
+                    c.settings,
+                    &Executor::InMemory,
+                )
+                .expect("in-memory cell");
+                bits(&runs)
+            })
+            .collect();
+        for width in [1, 2, 5] {
+            let runs = run_grid_on(&cells, &Executor::InMemory, width).expect("in-memory grid");
+            let got: Vec<_> = runs.iter().map(bits).collect();
+            assert!(
+                got == alone,
+                "grid on {width} workers differs from its cells"
+            );
+        }
+    }
+
+    #[test]
+    fn durable_grid_on_a_partly_filled_store_equals_each_cell_run_alone() {
+        let grid = Grid::new();
+        let cells = grid.cells();
+        let reference = Scratch::new("alone");
+        let alone: Vec<_> = cells
+            .iter()
+            .map(|c| {
+                let runs = run_cell(
+                    c.prepared,
+                    c.device,
+                    c.variant,
+                    c.settings,
+                    &reference.durable(),
+                )
+                .expect("durable cell");
+                bits(&runs)
+            })
+            .collect();
+        let alone_manifests = manifests(&reference.0, &cells);
+
+        for width in [1, 2, 5] {
+            let scratch = Scratch::new(&format!("w{width}"));
+            let check = |what: &str| {
+                let runs = run_grid_on(&cells, &scratch.durable(), width).expect("durable grid");
+                let got: Vec<_> = runs.iter().map(bits).collect();
+                assert!(got == alone, "{what} grid on {width} workers differs");
+                assert_eq!(manifests(&scratch.0, &cells), alone_manifests, "{what}");
+            };
+            check("fresh");
+
+            // Lose results in two cells, leave one replica a mid-training
+            // checkpoint, and drop every manifest.
+            for (c, replica, ckpt) in [(0, 0, false), (2, 1, true), (2, 2, false)] {
+                let cell = &cells[c];
+                let dir =
+                    scratch
+                        .0
+                        .cell_dir(&cell.prepared.spec.name, cell.device.name(), cell.variant);
+                std::fs::remove_file(resume::result_path(&dir, replica)).expect("drop result");
+                if ckpt {
+                    let mut first: Option<Checkpoint> = None;
+                    let mut sink = |k: &Checkpoint| {
+                        first.get_or_insert_with(|| k.clone());
+                    };
+                    run_replica_with(
+                        cell.prepared,
+                        cell.device,
+                        cell.variant,
+                        cell.settings,
+                        replica,
+                        ReplicaOptions {
+                            checkpoint_every_epochs: 1,
+                            sink: Some(&mut sink),
+                            ..ReplicaOptions::default()
+                        },
+                    )
+                    .expect("probe replica");
+                    let ckpt = first.expect("a 2-epoch run checkpoints after epoch 1");
+                    assert_eq!(ckpt.epochs_done, 1);
+                    ckpt.save(&resume::ckpt_path(&dir, replica))
+                        .expect("plant checkpoint");
+                }
+            }
+            for c in &cells {
+                let dir = scratch
+                    .0
+                    .cell_dir(&c.prepared.spec.name, c.device.name(), c.variant);
+                std::fs::remove_file(dir.join("manifest.txt")).expect("drop manifest");
+            }
+            check("partly filled");
+        }
+    }
+
+    #[test]
+    fn a_store_error_stops_the_grid_and_comes_back() {
+        let grid = Grid::new();
+        let cells: Vec<GridCell<'_>> = grid
+            .cells()
+            .into_iter()
+            .filter(|c| c.settings.replicas == 2)
+            .collect();
+        assert_eq!(cells.len(), 3);
+        let scratch = Scratch::new("io-error");
+        let dir = |c: &GridCell<'_>| {
+            scratch
+                .0
+                .cell_dir(&c.prepared.spec.name, c.device.name(), c.variant)
+        };
+        // Replica 1 of the second cell cannot commit its result.
+        std::fs::create_dir_all(resume::result_path(&dir(&cells[1]), 1))
+            .expect("plant a directory where the result goes");
+
+        let err = run_grid_on(&cells, &scratch.durable(), 1).expect_err("the commit fails");
+        assert_ne!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(dir(&cells[0]).join("manifest.txt").exists());
+        assert!(resume::result_path(&dir(&cells[1]), 0).is_file());
+        assert!(!dir(&cells[1]).join("manifest.txt").exists());
+        let later: Vec<_> = std::fs::read_dir(dir(&cells[2]))
+            .map(|d| d.flatten().map(|e| e.file_name()).collect())
+            .unwrap_or_default();
+        assert!(later.is_empty(), "the third cell started: {later:?}");
+    }
+
+    #[test]
+    fn cells_sharing_a_store_directory_are_rejected() {
+        let grid = Grid::new();
+        let cell = grid.cells()[0];
+        let scratch = Scratch::new("twice");
+        let err =
+            run_grid(&[cell, cell], &scratch.durable()).expect_err("one directory, two cells");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // In memory there is no directory to share.
+        assert_eq!(run_variants(&[cell, cell]).len(), 2);
     }
 }

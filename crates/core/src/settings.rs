@@ -227,8 +227,8 @@ impl ExperimentSettings {
     /// heartbeat/timeout knobs that can never prove worker liveness.
     ///
     /// Called at every entry point (the replica engine
-    /// `runner::run_cell`, the fleet worker, and `repro` argument
-    /// parsing); task-dependent checks live in
+    /// `runner::run_grid`, for every cell; the fleet worker; and `repro`
+    /// argument parsing); task-dependent checks live in
     /// [`ExperimentSettings::validate_for`].
     pub fn validate(&self) -> Result<(), SettingsError> {
         if self.replicas == 0 {
