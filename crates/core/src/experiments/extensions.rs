@@ -4,7 +4,9 @@
 //! ("an important area of future work involves understanding how
 //! distributed training impacts model stability"), and its §3.3 attributes
 //! V100's higher implementation noise to its larger CUDA-core count.
-//! These two experiments probe both claims directly in the simulator:
+//! The first two of these four experiments probe both claims directly in
+//! the simulator; the other two split and widen the paper's ALGO and
+//! architecture findings:
 //!
 //! - [`data_parallel_sweep`] — IMPL-only noise as the batch is sharded
 //!   across 1..=8 simulated workers whose gradients are all-reduced in
@@ -12,7 +14,11 @@
 //! - [`lanes_sweep`] — IMPL-only noise as a synthetic GPU's core count
 //!   (and therefore its independently-ordered accumulation-lane count)
 //!   grows, isolating the parallelism → noise mechanism from all other
-//!   architectural differences.
+//!   architectural differences;
+//! - [`algo_source_decomposition`] — ALGO noise split into its four
+//!   sources (initialization, shuffling, augmentation, dropout);
+//! - [`architecture_instability`] — ALGO+IMPL noise across four model
+//!   families trained on the same dataset.
 
 use crate::report::render_table;
 use crate::runner::{run_variants, GridCell, PreparedTask};
@@ -242,7 +248,7 @@ pub struct ArchInstabilityPoint {
 /// noise on the same dataset — extends the paper's Fig. 1/2 observation
 /// (model design moderates noise) to LeNet-5, which Pham et al. (ASE'20)
 /// found to be the most variance-prone architecture across DL libraries,
-/// and to the bottleneck-ResNet topology.
+/// next to the small CNN with and without batch-norm and MicroResNet18.
 pub fn architecture_instability(settings: &ExperimentSettings) -> Vec<ArchInstabilityPoint> {
     let device = Device::v100();
     let models: [(&str, ModelKind); 4] = [

@@ -213,12 +213,8 @@ fn enc_model(e: &mut Enc, m: &ModelKind) {
         }
         ModelKind::MicroResNet18 => e.u8(2),
         ModelKind::MicroResNet50 => e.u8(3),
-        ModelKind::MicroResNetBottleneck => e.u8(4),
         ModelKind::LeNet5 => e.u8(5),
-        ModelKind::MediumCnn { k } => {
-            e.u8(6);
-            e.size(k);
-        }
+        // Tags 4 and 6 named retired models; they stay unassigned.
     }
 }
 
@@ -228,9 +224,7 @@ fn dec_model(d: &mut Dec<'_>) -> io::Result<ModelKind> {
         1 => ModelKind::SmallCnnDropout { rate: d.f32()? },
         2 => ModelKind::MicroResNet18,
         3 => ModelKind::MicroResNet50,
-        4 => ModelKind::MicroResNetBottleneck,
         5 => ModelKind::LeNet5,
-        6 => ModelKind::MediumCnn { k: d.size()? },
         t => return Err(bad(&format!("unknown model tag {t}"))),
     })
 }
@@ -1071,6 +1065,61 @@ mod tests {
             spec.variant = variant;
             spec.settings.chaos = None;
             assert_spec_round_trips(&spec);
+        }
+        // Every model kind, walked through an exhaustive `match`: a new
+        // kind does not compile here until it joins the chain.
+        let mut model = Some(ModelKind::SmallCnn { with_bn: false });
+        while let Some(m) = model {
+            let mut spec = sample_spec();
+            spec.task.model = m;
+            assert_spec_round_trips(&spec);
+            model = match m {
+                ModelKind::SmallCnn { with_bn: false } => {
+                    Some(ModelKind::SmallCnn { with_bn: true })
+                }
+                ModelKind::SmallCnn { with_bn: true } => {
+                    Some(ModelKind::SmallCnnDropout { rate: 0.25 })
+                }
+                ModelKind::SmallCnnDropout { .. } => Some(ModelKind::MicroResNet18),
+                ModelKind::MicroResNet18 => Some(ModelKind::MicroResNet50),
+                ModelKind::MicroResNet50 => Some(ModelKind::LeNet5),
+                ModelKind::LeNet5 => None,
+            };
+        }
+    }
+
+    /// A spec frame naming a retired model tag (4: bottleneck ResNet,
+    /// 6: medium CNN with its filter size) decodes to no frame: its bytes
+    /// are skipped, and the next frame in the stream still arrives.
+    #[test]
+    fn retired_model_tags_are_skipped() {
+        let mut spec = sample_spec();
+        spec.task.model = ModelKind::MicroResNet18;
+        let bytes = encode_frame(&Frame::Spec(Box::new(spec.clone())));
+        // Header (12 bytes), frame tag, then the task name's length and bytes.
+        let at = 12 + 1 + 8 + spec.task.name.len();
+        assert_eq!(bytes[at], 2, "MicroResNet18's model tag");
+        let hb = encode_frame(&Frame::Heartbeat(Heartbeat {
+            replica: 0,
+            attempt: 0,
+            step: 1,
+        }));
+        for retired in [vec![4u8], [&[6u8][..], &3u64.to_le_bytes()].concat()] {
+            let mut frame = bytes[..at].to_vec();
+            frame.extend_from_slice(&retired);
+            frame.extend_from_slice(&bytes[at + 1..]);
+            let len = (frame.len() - 12) as u32;
+            frame[8..12].copy_from_slice(&len.to_le_bytes());
+            let mut dec = FrameDecoder::new();
+            dec.push(&frame);
+            dec.push(&hb);
+            assert!(
+                matches!(dec.next_frame(), Some(Frame::Heartbeat(h)) if h.step == 1),
+                "tag {}: the retired spec must be skipped",
+                retired[0]
+            );
+            assert_eq!(dec.skipped(), frame.len() as u64, "tag {}", retired[0]);
+            assert!(dec.next_frame().is_none());
         }
     }
 

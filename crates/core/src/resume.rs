@@ -83,16 +83,17 @@ impl CheckpointStore {
 
     /// A store scoped under `root` by a fingerprint of every settings knob
     /// that shapes replica results. Cells are keyed only by (task, device,
-    /// variant), so without the scope a run with a different seed or epoch
-    /// scale would silently reuse stale cached replicas.
+    /// variant), so without the scope a run with a different seed, salt or
+    /// epoch scale would silently reuse stale cached replicas. Knobs that
+    /// cannot change a bit (threads, retries, chaos, watchdog) stay out.
     pub fn for_settings(root: impl Into<PathBuf>, settings: &ExperimentSettings) -> Self {
         let fp = format!(
-            "s{}-r{}-u{}-e{}-t{}",
+            "s{}-r{}-x{:x}-u{}-e{}",
             settings.base_seed,
             settings.replicas,
+            settings.entropy_salt,
             settings.amp_ulps,
-            settings.epochs_scale,
-            settings.exec_threads
+            settings.epochs_scale
         );
         Self {
             root: root.into().join(path_component(&fp)),
@@ -347,6 +348,59 @@ mod tests {
         t.train.epochs = 4;
         t.augment = false;
         t
+    }
+
+    /// Every settings field is classified: changing a result-shaping one
+    /// moves the store scope, and changing a supervision-only one does not.
+    #[test]
+    fn store_scope_covers_exactly_the_result_shaping_settings() {
+        // Exhaustive: a new field does not compile until it is classified
+        // here and edited in one of the lists below.
+        let ExperimentSettings {
+            // Result-shaping.
+            replicas: _,
+            base_seed: _,
+            entropy_salt: _,
+            amp_ulps: _,
+            epochs_scale: _,
+            // Supervision-only.
+            exec_threads: _,
+            retry_budget: _,
+            chaos: _,
+            worker_timeout_ms: _,
+            heartbeat_every_steps: _,
+        } = ExperimentSettings::default();
+        type Edit = fn(&mut ExperimentSettings);
+        let shaping: [(&str, Edit); 5] = [
+            ("replicas", |s| s.replicas += 1),
+            ("base_seed", |s| s.base_seed += 1),
+            ("entropy_salt", |s| s.entropy_salt ^= 1),
+            ("amp_ulps", |s| s.amp_ulps += 1.0),
+            ("epochs_scale", |s| s.epochs_scale /= 2.0),
+        ];
+        let supervision: [(&str, Edit); 5] = [
+            ("exec_threads", |s| s.exec_threads += 1),
+            ("retry_budget", |s| s.retry_budget += 1),
+            ("chaos", |s| {
+                s.chaos = hwsim::ChaosConfig::parse("7:1,0,2,1,1@250")
+            }),
+            ("worker_timeout_ms", |s| s.worker_timeout_ms += 1),
+            ("heartbeat_every_steps", |s| s.heartbeat_every_steps += 1),
+        ];
+        let base = ExperimentSettings::default();
+        let root = |s: &ExperimentSettings| CheckpointStore::for_settings("store", s).root;
+        let scope_moves = |field: &str, edit: Edit| {
+            let mut changed = base;
+            edit(&mut changed);
+            assert_ne!(changed, base, "{field}: the edit must change the settings");
+            root(&changed) != root(&base)
+        };
+        for (field, edit) in shaping {
+            assert!(scope_moves(field, edit), "{field} shapes results");
+        }
+        for (field, edit) in supervision {
+            assert!(!scope_moves(field, edit), "{field} is supervision-only");
+        }
     }
 
     fn tiny_settings() -> ExperimentSettings {

@@ -26,15 +26,8 @@ pub enum ModelKind {
     MicroResNet18,
     /// Scaled ResNet-50.
     MicroResNet50,
-    /// Scaled bottleneck-block ResNet.
-    MicroResNetBottleneck,
     /// LeNet-5-style network (related-work comparisons).
     LeNet5,
-    /// Trainable medium CNN with configurable filter size.
-    MediumCnn {
-        /// Square filter size (odd).
-        k: usize,
-    },
 }
 
 /// Which dataset a task trains on.
@@ -249,9 +242,7 @@ impl TaskSpec {
             ModelKind::SmallCnnDropout { rate } => zoo::small_cnn_dropout(hw, c, out, rate, root),
             ModelKind::MicroResNet18 => zoo::micro_resnet18(hw, c, out, root),
             ModelKind::MicroResNet50 => zoo::micro_resnet50(hw, c, out, root),
-            ModelKind::MicroResNetBottleneck => zoo::micro_resnet_bottleneck(hw, c, out, root),
             ModelKind::LeNet5 => zoo::lenet5(hw, c, out, root),
-            ModelKind::MediumCnn { k } => zoo::medium_cnn_trainable(hw, c, out, k, root),
         }
     }
 

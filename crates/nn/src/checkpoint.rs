@@ -333,7 +333,7 @@ mod tests {
         use nstensor::{ConvGeometry, Shape, Tensor};
 
         type Build = fn(&mut detrand::StreamRng) -> Box<dyn Layer>;
-        let cases: [(&str, Build, &[usize]); 10] = [
+        let cases: [(&str, Build, &[usize]); 9] = [
             ("dense", |r| Box::new(Dense::new(6, 4, r)), &[3, 6]),
             (
                 "conv2d",
@@ -348,11 +348,6 @@ mod tests {
             (
                 "residual",
                 |r| Box::new(ResidualBlock::new(2, 4, 2, 4, 4, r)),
-                &[3, 2, 4, 4],
-            ),
-            (
-                "bottleneck",
-                |r| Box::new(BottleneckBlock::new(2, 2, 4, 2, 4, 4, r)),
                 &[3, 2, 4, 4],
             ),
             ("relu", |_| Box::new(Relu::new()), &[3, 6]),

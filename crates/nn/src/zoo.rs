@@ -8,8 +8,7 @@
 //! the residual/BN topology that curbs noise amplification.
 
 use crate::layers::{
-    BatchNorm2d, BottleneckBlock, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, Relu,
-    ResidualBlock,
+    BatchNorm2d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, Relu, ResidualBlock,
 };
 use crate::model::Network;
 use detrand::{Philox, StreamId};
@@ -148,73 +147,6 @@ pub fn micro_resnet50(input_hw: usize, in_c: usize, classes: usize, root: &Philo
     net
 }
 
-/// A scaled bottleneck ResNet (true ResNet-50 block topology at micro
-/// scale): stem, three bottleneck stages with 4× expansion, GAP and a
-/// linear classifier.
-///
-/// # Panics
-///
-/// Panics if `input_hw` is not divisible by 4.
-pub fn micro_resnet_bottleneck(
-    input_hw: usize,
-    in_c: usize,
-    classes: usize,
-    root: &Philox,
-) -> Network {
-    assert_eq!(input_hw % 4, 0, "input size must be divisible by 4");
-    let mut rng = root.stream(StreamId::INIT.child(0));
-    let mut net = Network::new();
-    let stem = ConvGeometry::new(in_c, 8, 3, 1, 1, input_hw, input_hw);
-    net.push(Conv2d::new(stem, &mut rng));
-    net.push(BatchNorm2d::new(8, &mut rng));
-    net.push(Relu::new());
-    net.push(BottleneckBlock::new(
-        8, 4, 16, 1, input_hw, input_hw, &mut rng,
-    ));
-    net.push(BottleneckBlock::new(
-        16, 8, 32, 2, input_hw, input_hw, &mut rng,
-    ));
-    let hw2 = input_hw / 2;
-    net.push(BottleneckBlock::new(32, 16, 64, 2, hw2, hw2, &mut rng));
-    net.push(GlobalAvgPool::new());
-    net.push(Dense::new(64, classes, &mut rng));
-    net
-}
-
-/// A trainable counterpart of the paper's six-layer medium CNN
-/// (Appendix C) with configurable filter size `k`, scaled to a small
-/// canvas: three `conv(k)+BN+ReLU+pool` blocks and a linear head.
-///
-/// # Panics
-///
-/// Panics if `input_hw` is not divisible by 8 or `k` is even/zero.
-pub fn medium_cnn_trainable(
-    input_hw: usize,
-    in_c: usize,
-    classes: usize,
-    k: usize,
-    root: &Philox,
-) -> Network {
-    assert_eq!(input_hw % 8, 0, "input size must be divisible by 8");
-    assert!(k % 2 == 1 && k > 0, "filter size must be odd");
-    let mut rng = root.stream(StreamId::INIT.child(0));
-    let mut net = Network::new();
-    let mut c_in = in_c;
-    let mut hw = input_hw;
-    for &c_out in &[8usize, 16, 32] {
-        let geom = ConvGeometry::new(c_in, c_out, k, 1, k / 2, hw, hw);
-        net.push(Conv2d::new(geom, &mut rng));
-        net.push(BatchNorm2d::new(c_out, &mut rng));
-        net.push(Relu::new());
-        net.push(MaxPool2d::new(2));
-        hw /= 2;
-        c_in = c_out;
-    }
-    net.push(GlobalAvgPool::new());
-    net.push(Dense::new(c_in, classes, &mut rng));
-    net
-}
-
 /// LeNet-5-style network (conv 5×5 ×2 + dense ×2): the architecture
 /// Pham et al. (ASE'20) found most variance-prone across DL libraries —
 /// included so that related-work comparisons can be replayed here.
@@ -310,29 +242,6 @@ mod tests {
         let mut a = micro_resnet18(8, 3, 10, &root);
         let mut b = micro_resnet18(8, 3, 10, &root);
         assert_eq!(a.flat_weights(), b.flat_weights());
-    }
-
-    #[test]
-    fn bottleneck_resnet_output_shape() {
-        let root = Philox::from_seed(6);
-        let mut net = micro_resnet_bottleneck(8, 3, 10, &root);
-        assert_eq!(forward_shape(&mut net, 3, 8, &root), vec![2, 10]);
-        assert!(net.layer_kinds().contains(&"bottleneck_block"));
-    }
-
-    #[test]
-    fn medium_cnn_trainable_filter_sweep() {
-        let root = Philox::from_seed(7);
-        for k in [1usize, 3, 5, 7] {
-            let mut net = medium_cnn_trainable(8, 3, 10, k, &root);
-            assert_eq!(forward_shape(&mut net, 3, 8, &root), vec![2, 10], "k={k}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must be odd")]
-    fn medium_cnn_rejects_even_filters() {
-        medium_cnn_trainable(8, 3, 10, 4, &Philox::from_seed(0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! reorders *which outputs* are computed when, never the k-dimension
 //! combine order inside one output. Each output's scheduler draws are
 //! located by its position in the reference call order
-//! ([`Reducer::plan_dots`]), so the forward pass batches all samples into
+//! (`Reducer::plan_dots`), so the forward pass batches all samples into
 //! one GEMM under every order, Permuted included.
 //!
 //! The backward pass lowers the input once, as the transposed patch
@@ -422,7 +422,7 @@ pub fn conv2d_forward_ws(
 /// bias-gradient sums. The input gradient never touches the reducer (the
 /// reference combines channels with a fixed `channel % lanes` assignment,
 /// left to right), so it runs afterwards under a stateless
-/// [`DotPlan::fixed_lanes`] plan, reusing the weight gradient's `dyᵀ`.
+/// `DotPlan::fixed_lanes` plan, reusing the weight gradient's `dyᵀ`.
 ///
 /// # Errors
 ///

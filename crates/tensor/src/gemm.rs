@@ -27,8 +27,8 @@
 //! permutations interleaved with compute, one output at a time in
 //! reference call order. The scheduler generator is a Weyl sequence, so
 //! the draws of the *i*-th output start at a fixed offset from the
-//! batch's starting state. [`Reducer::plan_dots`] records that state in a
-//! [`DotPlan`] and jumps the reducer past the whole batch in O(1); the
+//! batch's starting state. `Reducer::plan_dots` records that state in a
+//! `DotPlan` and jumps the reducer past the whole batch in O(1); the
 //! Permuted kernel then derives each output's spec from its index, tile
 //! by tile, and combines a tile's outputs together in a skewed-window walk
 //! that keeps every output's rotated order (see `band_permuted`). Tiles
@@ -39,7 +39,6 @@
 //!
 //! [`ReduceOrder`]: crate::reduce::ReduceOrder
 //! [`Reducer::dot`]: crate::reduce::Reducer::dot
-//! [`Reducer::plan_dots`]: crate::reduce::Reducer::plan_dots
 
 use crate::error::ShapeError;
 use crate::pack::{pack_b_panels, pack_bt_panels, transpose_into, MR, NR};

@@ -117,7 +117,7 @@ impl Reducer {
     /// Arms a one-shot fault: the next direct reduction ([`Reducer::sum`],
     /// [`Reducer::dot`] or [`Reducer::sum_strided`]) returns NaN instead of
     /// its result, modelling a kernel that silently produced garbage.
-    /// Pre-planned GEMM batches ([`Reducer::plan_dots`]) are unaffected —
+    /// Pre-planned GEMM batches (`Reducer::plan_dots`) are unaffected —
     /// the poison stays armed until a direct reduction materializes it.
     pub fn inject_nan(&mut self) {
         self.poisoned = true;

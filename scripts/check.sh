@@ -14,6 +14,8 @@ run cargo build --workspace --release
 run cargo test -q --workspace
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --check
+# A dangling or private intra-doc link fails the gate.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Determinism lint with --audit: a stale allow is a hard failure. The
 # fleet clock shim's DL003 allow is the one sanctioned suppression and

@@ -1,11 +1,12 @@
-//! Canonical-JSON pins of training reports that no other tier-1 test
-//! pins bit for bit, each at a small scale fixed for its runtime.
+//! Canonical-JSON pins of reports that no other tier-1 test pins bit for
+//! bit: training reports, each at a small scale fixed for its runtime, and
+//! the cost-model and Table 3 reports at the scale `repro` runs them.
 //!
 //! A mismatch names the first JSON path that differs. Re-pin only in a
 //! change that is meant to move bits: delete the file, re-run (the test
 //! then writes it), and record the move in CHANGES.md.
 
-use noisescope::experiments::{extensions, ordering};
+use noisescope::experiments::{cost, extensions, fairness, ordering};
 use noisescope::prelude::*;
 use serde_json::Value;
 
@@ -94,6 +95,17 @@ fn ext_algo_sources_report_matches_golden() {
         "ext_algo_sources",
         &extensions::algo_source_decomposition(&pin_settings()),
     );
+}
+
+/// The paper's cost-of-determinism result (Figs. 7, 8a and 8b) and
+/// Table 3's subgroup counts: no training, so each runs at full `repro`
+/// scale in milliseconds.
+#[test]
+fn cost_and_table3_reports_match_golden() {
+    assert_matches_golden("fig7", &cost::fig7(100));
+    assert_matches_golden("fig8a", &cost::fig8a(64));
+    assert_matches_golden("fig8b", &cost::fig8b(64));
+    assert_matches_golden("table3", &fairness::table3());
 }
 
 #[test]
